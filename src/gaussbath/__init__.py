@@ -5,10 +5,6 @@ amplitude u(t) of a cavity mode coupled to an Ohmic-family or coupled-cavity
 reservoir, locates the bound (localized) modes responsible for frozen steady
 states, and tracks Gaussian quantum discord and related correlation measures
 of an initially two-mode squeezed state.
-
-The O(M^2) Volterra inner loop runs in a compiled extension when available
-(``backend_name()`` reports which); set ``GAUSSBATH_PURE=1`` to force the
-pure-numpy fallback.
 """
 
 from .boundmode import (
@@ -48,7 +44,6 @@ from .spectra import (
     memory_kernel_quadrature,
 )
 from .volterra import (
-    BACKEND,
     AmplitudeTrajectory,
     ConvergenceError,
     DecayRateSeries,
@@ -60,8 +55,3 @@ from .volterra import (
 )
 
 __version__ = "0.1.0"
-
-
-def backend_name():
-    """Which Volterra inner-loop implementation was selected at import."""
-    return BACKEND

@@ -38,13 +38,13 @@ class OhmicFamilySpectrum:
     def __post_init__(self):
         # eta = 0 (decoupled limit) is admitted: the dynamics and CLI
         # contracts exercise free evolution through it
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ValueError("eta must be >= 0")
-        if self.n <= 0:
+        if not self.n > 0:
             raise ValueError("n must be > 0")
-        if self.omega_c <= 0:
+        if not self.omega_c > 0:
             raise ValueError("omega_c must be > 0")
-        if self.omega_ref <= 0:
+        if not self.omega_ref > 0:
             raise ValueError("omega_ref must be > 0")
 
 
@@ -58,11 +58,11 @@ class CavityArraySpectrum:
     sites: int | None = None
 
     def __post_init__(self):
-        if self.g < 0:
+        if not self.g >= 0:
             raise ValueError("g must be >= 0")
-        if self.xi <= 0:
+        if not self.xi > 0:
             raise ValueError("xi must be > 0")
-        if self.omega_C <= 2 * self.xi:
+        if not self.omega_C > 2 * self.xi:
             raise ValueError("omega_C must exceed 2*xi (band bottom must stay positive)")
         if self.sites is not None and self.sites < 1:
             raise ValueError("sites must be a positive count or None for the continuum")

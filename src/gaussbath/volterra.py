@@ -6,27 +6,18 @@ rotating at omega0 (v = exp(i*omega0*t) * u obeys the same equation with the
 dressed kernel f(x)*exp(i*omega0*x) and no oscillatory drift term), which
 removes the bare phase from the discretization error; the scheme itself is a
 second-order Heun predictor-corrector with trapezoidal memory quadrature.
+Each step sums the full history, so a solve on M steps costs O(M^2).
 
 The time-local decay rate Gamma(t) and frequency shift Omega(t) follow from
 Gamma + i*Omega = -u'(t)/u(t), estimated by finite differences.
 """
 
-import os
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .spectra import evaluate_density, memory_kernel
-
-if os.environ.get("GAUSSBATH_PURE"):
-    from . import _volterra_py as _backend
-else:
-    try:
-        from . import _volterra_cy as _backend
-    except ImportError:
-        from . import _volterra_py as _backend
-
-BACKEND = "compiled" if _backend.__name__.endswith("_volterra_cy") else "python"
 
 VALIDITY_FLOOR = 1e-8  # |u|^2 below this makes -u'/u numerically meaningless
 
@@ -46,7 +37,7 @@ class SystemMode:
     omega0: float
 
     def __post_init__(self):
-        if self.omega0 <= 0:
+        if not self.omega0 > 0:
             raise ValueError("omega0 must be > 0")
 
 
@@ -56,8 +47,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("t_max must be > 0")
+        if not (self.t_max > 0 and math.isfinite(self.t_max)):
+            raise ValueError("t_max must be finite and > 0")
         if self.steps < 2:
             raise ValueError("steps must be >= 2")
 
@@ -89,12 +80,36 @@ class DecayRateSeries:
     valid: np.ndarray = field(repr=False)
 
 
+def _heun_volterra(kernel, h):
+    """Integrate v'(t) = -int_0^t kernel(t - s) v(s) ds with v(0) = 1.
+
+    ``kernel`` holds the kernel sampled on the uniform grid j*h,
+    j = 0 .. M; the returned array holds v on the same grid.
+    """
+    kernel = np.ascontiguousarray(kernel, dtype=np.complex128)
+    M = kernel.shape[0] - 1
+    v = np.empty(M + 1, dtype=np.complex128)
+    v[0] = 1.0
+    half_k0 = 0.5 * kernel[0]
+    for j in range(M):
+        if j == 0:
+            rate = 0.0
+        else:
+            hist = np.dot(v[1:j], kernel[j - 1 : 0 : -1]) if j > 1 else 0.0
+            rate = -h * (0.5 * kernel[j] * v[0] + hist + half_k0 * v[j])
+        pred = v[j] + h * rate
+        hist_next = np.dot(v[1 : j + 1], kernel[j:0:-1]) if j >= 1 else 0.0
+        rate_next = -h * (0.5 * kernel[j + 1] * v[0] + hist_next + half_k0 * pred)
+        v[j + 1] = v[j] + 0.5 * h * (rate + rate_next)
+    return v
+
+
 def _integrate(model, mode, t_max, steps):
     """Single fixed-step solve; returns u on the grid of ``steps`` intervals."""
     h = t_max / steps
     ts = h * np.arange(steps + 1)
     dressed = memory_kernel(model, ts) * np.exp(1j * mode.omega0 * ts)
-    v = _backend.heun_volterra(np.ascontiguousarray(dressed), h)
+    v = _heun_volterra(dressed, h)
     return v * np.exp(-1j * mode.omega0 * ts)
 
 
@@ -105,7 +120,7 @@ def solve_amplitude(model, mode, grid, tol=1e-5, max_refinements=8):
     requested grid drops below ``tol``; the finest solution is reported,
     restricted to the requested grid.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     coarse = _integrate(model, mode, grid.t_max, grid.steps)
     err = np.inf

@@ -24,6 +24,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config("eta=-1\nn=3\nomega_c=1.0\n")
         assert any("eta" in problem for problem in exc.value.errors)
+        # NaN and inf slip through the range checks, so they need their own
+        for key, text in (
+            ("eta", "eta=nan\nn=3\nomega_c=1.0\n"),
+            ("t_max", OHMIC_TEXT + "t_max=inf\n"),
+            ("tol", OHMIC_TEXT + "tol=nan\n"),
+            ("xi", "g=0.02\nxi=nan\nN=200\n"),
+            ("sweep_values", OHMIC_TEXT + "sweep=eta\nsweep_values=0.1,nan\n"),
+        ):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(text)
+            assert any(key in problem and "finite" in problem for problem in exc.value.errors)
 
     def test_all_errors_reported_not_just_first(self):
         with pytest.raises(ConfigError) as exc:
@@ -187,6 +198,18 @@ class TestSweep:
         assert len(failures) == 1
         assert failures[0][0] == 0.1
 
+    def test_programming_error_propagates(self, monkeypatch):
+        # only numerical and input failures become failed sweep points
+        from gaussbath import scenario
+
+        def broken(*args, **kwargs):
+            raise TypeError("broken solver")
+
+        monkeypatch.setattr(scenario, "solve_amplitude", broken)
+        cfg = parse_config(OHMIC_TEXT + "sweep=eta\nsweep_values=0.1\n")
+        with pytest.raises(TypeError, match="broken solver"):
+            run_sweep(cfg)
+
 
 class TestModes:
     def test_ohmic_summary_without_mode(self):
@@ -248,6 +271,12 @@ class TestCliEndToEnd:
         config.write_text("eta=-1\nn=3\nomega_c=1.0\n")
         assert main(["solve", "--config", str(config)]) == 2
         assert "eta" in capsys.readouterr().err
+        # a NaN flag is refused before any solve starts
+        args = ["solve", "--eta", "nan", "--n", "3", "--omega-c", "1",
+                "--tmax", "20", "--steps", "400", "--out", str(tmp_path / "nan.csv")]
+        assert main(args) == 2
+        assert "eta must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "nan.csv").exists()
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         config = tmp_path / "hard.cfg"

@@ -1,9 +1,12 @@
 """Amplitude-equation solver and time-local decay coefficients."""
 
+import math
+
 import numpy as np
 import pytest
 
 from gaussbath import (
+    CavityArraySpectrum,
     ConvergenceError,
     OhmicFamilySpectrum,
     SystemMode,
@@ -12,7 +15,7 @@ from gaussbath import (
     markovian_reference,
     solve_amplitude,
 )
-from gaussbath.volterra import _integrate
+from gaussbath.volterra import _heun_volterra, _integrate
 
 MODE = SystemMode(omega0=1.0)
 
@@ -59,6 +62,20 @@ class TestSolver:
         err_h = np.abs(_integrate(model, MODE, t_max, 2000) - ref[::8]).max()
         err_h2 = np.abs(_integrate(model, MODE, t_max, 4000) - ref[::4]).max()
         assert err_h / err_h2 >= 3.5
+
+    def test_constant_kernel_gives_cosine(self):
+        # a constant kernel kappa turns the equation into v'' = -kappa v,
+        # v(0) = 1, v'(0) = 0, so v = cos(sqrt(kappa) t); the loop's error
+        # must shrink fourfold when the step halves
+        t_max = 10.0
+        for kappa, bound in ((1.0, 1e-4), (0.25 + 0.5j, 1e-3)):
+            errs = []
+            for M in (500, 1000):
+                ts = np.linspace(0.0, t_max, M + 1)
+                v = _heun_volterra(np.full(M + 1, kappa, dtype=complex), t_max / M)
+                errs.append(np.abs(v - np.cos(np.sqrt(kappa) * ts)).max())
+            assert errs[1] < bound
+            assert errs[0] / errs[1] >= 3.9
 
     def test_nonconvergence_raises_with_estimate(self):
         with pytest.raises(ConvergenceError) as exc:
@@ -152,11 +169,23 @@ class TestMarkovianReference:
 
 class TestGridValidation:
     def test_bad_grids_rejected(self):
-        with pytest.raises(ValueError):
-            TimeGrid(t_max=-1.0, steps=100)
+        for t_max in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TimeGrid(t_max=t_max, steps=100)
         with pytest.raises(ValueError):
             TimeGrid(t_max=1.0, steps=1)
-        with pytest.raises(ValueError):
-            SystemMode(omega0=0.0)
-        with pytest.raises(ValueError):
-            solve_amplitude(ohmic(0.1), MODE, TimeGrid(1.0, 10), tol=0.0)
+        for omega0 in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                SystemMode(omega0=omega0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                solve_amplitude(ohmic(0.1), MODE, TimeGrid(1.0, 10), tol=tol)
+        for build in (
+            lambda: ohmic(math.nan),
+            lambda: ohmic(0.1, omega_c=math.nan),
+            lambda: CavityArraySpectrum(g=math.nan, xi=0.05, omega_C=1.0),
+            lambda: CavityArraySpectrum(g=0.02, xi=math.nan, omega_C=1.0),
+            lambda: CavityArraySpectrum(g=0.02, xi=0.05, omega_C=math.nan),
+        ):
+            with pytest.raises(ValueError):
+                build()
