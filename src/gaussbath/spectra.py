@@ -38,14 +38,14 @@ class OhmicFamilySpectrum:
     def __post_init__(self):
         # eta = 0 (decoupled limit) is admitted: the dynamics and CLI
         # contracts exercise free evolution through it
-        if not self.eta >= 0:
-            raise ValueError("eta must be >= 0")
-        if not self.n > 0:
-            raise ValueError("n must be > 0")
-        if not self.omega_c > 0:
-            raise ValueError("omega_c must be > 0")
-        if not self.omega_ref > 0:
-            raise ValueError("omega_ref must be > 0")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be finite and >= 0")
+        if not 0 < self.n < math.inf:
+            raise ValueError("n must be finite and > 0")
+        if not 0 < self.omega_c < math.inf:
+            raise ValueError("omega_c must be finite and > 0")
+        if not 0 < self.omega_ref < math.inf:
+            raise ValueError("omega_ref must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,14 @@ class CavityArraySpectrum:
     sites: int | None = None
 
     def __post_init__(self):
-        if not self.g >= 0:
-            raise ValueError("g must be >= 0")
-        if not self.xi > 0:
-            raise ValueError("xi must be > 0")
-        if not self.omega_C > 2 * self.xi:
-            raise ValueError("omega_C must exceed 2*xi (band bottom must stay positive)")
+        if not 0 <= self.g < math.inf:
+            raise ValueError("g must be finite and >= 0")
+        if not 0 < self.xi < math.inf:
+            raise ValueError("xi must be finite and > 0")
+        if not 2 * self.xi < self.omega_C < math.inf:
+            raise ValueError(
+                "omega_C must be finite and exceed 2*xi (band bottom must stay positive)"
+            )
         if self.sites is not None and self.sites < 1:
             raise ValueError("sites must be a positive count or None for the continuum")
 

@@ -3,7 +3,9 @@
 These deliberately avoid the package's own formula paths: the covariance
 oracle builds second moments directly from operator averages, and the
 discord oracle minimizes the conditional entropy over an explicit scan of
-Gaussian measurements.
+Gaussian measurements.  The Volterra oracle is the direct Heun loop that
+sums the full memory history at every step, O(M^2), against which the
+solver's fast history sum is checked.
 """
 
 import numpy as np
@@ -78,3 +80,28 @@ def brute_force_discord(sigma, n_lam=800, n_theta=24):
                 best = val
     classical = S1 - best
     return mutual - classical, mutual
+
+
+def direct_heun_volterra(kernel, h):
+    """Integrate v'(t) = -int_0^t kernel(t - s) v(s) ds with v(0) = 1.
+
+    The same Heun predictor-corrector as ``gaussbath.volterra``, with both
+    history sums of each step taken as direct dot products over the whole
+    past.
+    """
+    kernel = np.ascontiguousarray(kernel, dtype=np.complex128)
+    M = kernel.shape[0] - 1
+    v = np.empty(M + 1, dtype=np.complex128)
+    v[0] = 1.0
+    half_k0 = 0.5 * kernel[0]
+    for j in range(M):
+        if j == 0:
+            rate = 0.0
+        else:
+            hist = np.dot(v[1:j], kernel[j - 1 : 0 : -1]) if j > 1 else 0.0
+            rate = -h * (0.5 * kernel[j] * v[0] + hist + half_k0 * v[j])
+        pred = v[j] + h * rate
+        hist_next = np.dot(v[1 : j + 1], kernel[j:0:-1]) if j >= 1 else 0.0
+        rate_next = -h * (0.5 * kernel[j + 1] * v[0] + hist_next + half_k0 * pred)
+        v[j + 1] = v[j] + 0.5 * h * (rate + rate_next)
+    return v

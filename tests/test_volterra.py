@@ -1,9 +1,11 @@
 """Amplitude-equation solver and time-local decay coefficients."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
+from conftest import direct_heun_volterra
 
 from gaussbath import (
     CavityArraySpectrum,
@@ -15,6 +17,7 @@ from gaussbath import (
     markovian_reference,
     solve_amplitude,
 )
+from gaussbath.spectra import memory_kernel
 from gaussbath.volterra import _heun_volterra, _integrate
 
 MODE = SystemMode(omega0=1.0)
@@ -22,6 +25,11 @@ MODE = SystemMode(omega0=1.0)
 
 def ohmic(eta, omega_c=1.0):
     return OhmicFamilySpectrum(eta=eta, n=3, omega_c=omega_c, omega_ref=1.0)
+
+
+def dressed(model, omega0):
+    """Kernel sampler in the frame rotating at omega0, as the solver sees it."""
+    return lambda ts: memory_kernel(model, ts) * np.exp(1j * omega0 * ts)
 
 
 class TestSolver:
@@ -76,6 +84,50 @@ class TestSolver:
                 errs.append(np.abs(v - np.cos(np.sqrt(kappa) * ts)).max())
             assert errs[1] < bound
             assert errs[0] / errs[1] >= 3.9
+
+    @pytest.mark.parametrize(
+        "kernel_of, t_max",
+        [
+            (dressed(OhmicFamilySpectrum(eta=1.0, n=3, omega_c=1.0, omega_ref=1.0), 1.0), 20.0),
+            (dressed(CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0), 0.8), 500.0),
+            (dressed(CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=4), 0.8), 500.0),
+            (lambda ts: np.full(ts.shape, 0.25 + 0.5j), 10.0),
+        ],
+        ids=["ohmic", "continuum", "ring4", "constant"],
+    )
+    def test_fast_history_matches_direct_loop(self, kernel_of, t_max):
+        # M spans one base block, its boundaries and several FFT levels
+        for M in (1, 2, 63, 64, 65, 127, 128, 129, 1000, 4097):
+            kernel = kernel_of(np.linspace(0.0, t_max, M + 1))
+            fast = _heun_volterra(kernel, t_max / M)
+            direct = direct_heun_volterra(kernel, t_max / M)
+            assert np.abs(fast - direct).max() < 1e-13, M
+
+    def test_solve_leaves_no_reference_cycles(self):
+        # a solve must free its arrays by reference counting alone
+        gc.collect()
+        gc.disable()
+        try:
+            _heun_volterra(np.full(1001, 1.0 + 0j), 0.01)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_nonfinite_change_stops_refinement(self, monkeypatch):
+        # finite parameters whose kernel overflows: the solve must stop at
+        # the first level whose change is not finite
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _integrate(*args)
+
+        monkeypatch.setattr("gaussbath.volterra._integrate", counted)
+        model = OhmicFamilySpectrum(eta=1e300, n=3, omega_c=1e10, omega_ref=1.0)
+        with pytest.raises(ConvergenceError) as exc, np.errstate(all="ignore"):
+            solve_amplitude(model, MODE, TimeGrid(10.0, 100))
+        assert not math.isfinite(exc.value.error_estimate)
+        assert len(calls) <= 2
 
     def test_nonconvergence_raises_with_estimate(self):
         with pytest.raises(ConvergenceError) as exc:
@@ -174,7 +226,7 @@ class TestGridValidation:
                 TimeGrid(t_max=t_max, steps=100)
         with pytest.raises(ValueError):
             TimeGrid(t_max=1.0, steps=1)
-        for omega0 in (0.0, math.nan):
+        for omega0 in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 SystemMode(omega0=omega0)
         for tol in (0.0, math.nan):
@@ -186,6 +238,13 @@ class TestGridValidation:
             lambda: CavityArraySpectrum(g=math.nan, xi=0.05, omega_C=1.0),
             lambda: CavityArraySpectrum(g=0.02, xi=math.nan, omega_C=1.0),
             lambda: CavityArraySpectrum(g=0.02, xi=0.05, omega_C=math.nan),
+            lambda: ohmic(math.inf),
+            lambda: OhmicFamilySpectrum(eta=0.1, n=math.inf, omega_c=1.0, omega_ref=1.0),
+            lambda: ohmic(0.1, omega_c=math.inf),
+            lambda: OhmicFamilySpectrum(eta=0.1, n=3, omega_c=1.0, omega_ref=math.inf),
+            lambda: CavityArraySpectrum(g=math.inf, xi=0.05, omega_C=1.0),
+            lambda: CavityArraySpectrum(g=0.02, xi=math.inf, omega_C=1.0),
+            lambda: CavityArraySpectrum(g=0.02, xi=0.05, omega_C=math.inf),
         ):
             with pytest.raises(ValueError):
                 build()
