@@ -24,6 +24,7 @@ SOLVE_COLUMNS_HEAD = (
     "I1", "I2", "I3", "I4", "nu_minus", "nu_plus",
 )
 NA = "NA"
+_CHUNK = 64  # rows turned into Python floats at a time when formatting
 
 OHMIC_KEYS = {"eta", "n", "omega_c", "omega_ref"}
 ARRAY_KEYS = {"g", "xi", "omega_C", "N"}
@@ -255,25 +256,32 @@ def _solve_header(cfg):
     return ",".join(SOLVE_COLUMNS_HEAD + tuple(cfg.outputs) + ("branch",))
 
 
+def _column(values):
+    """Shortest round-trip text of each entry of a float array.
+
+    Made lazily, a chunk of floats at a time, so that formatting a table
+    holds no more than one chunk of each column besides the joined rows.
+    """
+    for lo in range(0, len(values), _CHUNK):
+        yield from map(repr, values[lo : lo + _CHUNK].tolist())
+
+
+def _rate_column(values, valid):
+    return (text if ok else NA for text, ok in zip(_column(values), valid))
+
+
 def _trajectory_rows(cfg, traj):
     rates = decay_rates(traj)
     meas = measures_from_amplitude(traj.u, cfg.r)
-    times = traj.times
     u = traj.u
-    abs2 = np.abs(u) ** 2
-    rows = []
-    for j in range(len(times)):
-        row = [
-            _fmt(times[j]), _fmt(u[j].real), _fmt(u[j].imag), _fmt(abs2[j]),
-            _fmt(rates.gamma[j]) if rates.valid[j] else NA,
-            _fmt(rates.omega_shift[j]) if rates.valid[j] else NA,
-            _fmt(meas["I1"][j]), _fmt(meas["I2"][j]), _fmt(meas["I3"][j]), _fmt(meas["I4"][j]),
-            _fmt(meas["nu_minus"][j]), _fmt(meas["nu_plus"][j]),
-        ]
-        row.extend(_fmt(meas[name][j]) for name in cfg.outputs)
-        row.append(str(meas["branch"][j]))
-        rows.append(",".join(row))
-    return rows
+    columns = [
+        _column(traj.times), _column(u.real), _column(u.imag), _column(np.abs(u) ** 2),
+        _rate_column(rates.gamma, rates.valid), _rate_column(rates.omega_shift, rates.valid),
+        *(_column(meas[name]) for name in ("I1", "I2", "I3", "I4", "nu_minus", "nu_plus")),
+        *(_column(meas[name]) for name in cfg.outputs),
+        map(str, meas["branch"]),
+    ]
+    return [",".join(cells) for cells in zip(*columns)]
 
 
 def run_scenario(cfg):
@@ -314,14 +322,12 @@ def run_sweep(cfg):
             failures.append((value, str(exc)))
             continue
         meas = measures_from_amplitude(traj.u, point.r)
-        abs2 = np.abs(traj.u) ** 2
-        times = traj.times
-        sv = _fmt(value)
-        for j in range(len(times)):
-            rows.append(
-                f"{sv},{_fmt(times[j])},{_fmt(meas['discord'][j])},"
-                f"{_fmt(abs2[j])},{_fmt(meas['log_neg'][j])}"
-            )
+        columns = (
+            _column(traj.times), _column(meas["discord"]),
+            _column(np.abs(traj.u) ** 2), _column(meas["log_neg"]),
+        )
+        prefix = _fmt(value) + ","
+        rows.extend(prefix + ",".join(cells) for cells in zip(*columns))
     return header, rows, failures
 
 

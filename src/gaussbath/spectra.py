@@ -10,10 +10,14 @@ Two reservoir families are supported:
   Either a finite ring of N sites or the N -> infinity continuum.
 
 The memory kernel is f(t) = int J(w) exp(-i w t) dw and the level-shift
-integrals int J(w)/(w - E)**order dw feed the bound-mode analysis.
+integrals int J(w)/(w - E)**order dw feed the bound-mode analysis.  A finite
+ring's kernel is the N-term mode sum; inside the ring's light cone (before an
+excitation can travel round the ring) it equals the continuum closed form to
+below double rounding, so the continuum form is evaluated there instead.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +70,12 @@ class CavityArraySpectrum:
             raise ValueError(
                 "omega_C must be finite and exceed 2*xi (band bottom must stay positive)"
             )
-        if self.sites is not None and self.sites < 1:
-            raise ValueError("sites must be a positive count or None for the continuum")
+        if self.sites is not None and (
+            isinstance(self.sites, bool)
+            or not isinstance(self.sites, numbers.Integral)
+            or self.sites < 1
+        ):
+            raise ValueError("sites must be a positive integer or None for the continuum")
 
     @property
     def band(self):
@@ -104,12 +112,37 @@ def evaluate_density(model, omega):
     return float(dens) if np.isscalar(omega) else dens
 
 
+_RING_TAIL_TOL = 1e-17  # ring-continuum gap below which the continuum form is used
+
+
+def _ring_matches_continuum(model, t_max):
+    """True when the ring kernel equals the continuum kernel on [0, t_max].
+
+    Jacobi-Anger turns the ring's mode sum into
+    g^2 exp(-i omega_C t) [J0(z) + 2 sum_{q>=1} (-i)^(qN) J_qN(z)], z = 2 xi t.
+    With |J_nu(z)| <= (z/2)^nu / nu! and N >= 2 z, the q >= 1 tail is at most
+    4 (z/2)^N / N! relative to g^2, which grows with z, so checking z_max
+    bounds every earlier time.
+    """
+    z = 2 * model.xi * t_max
+    if z == 0:
+        return True
+    N = model.sites
+    if N < 2 * z:
+        return False
+    log_tail = math.log(4) + N * math.log(z / 2) - math.lgamma(N + 1)
+    return log_tail < math.log(_RING_TAIL_TOL)
+
+
 def memory_kernel(model, t):
     """Memory kernel f(t) = int J(w) exp(-i w t) dw, in closed form.
 
     Ohmic family: f(t) = eta * Gamma(n+1) * omega_c^2 * (omega_c/omega_ref)^(n-1)
-    / (1 + i omega_c t)^(n+1).  Finite array: exact N-term mode sum.  Continuum
-    array: g^2 * exp(-i omega_C t) * J0(2 xi t).
+    / (1 + i omega_c t)^(n+1).  Continuum array: g^2 * exp(-i omega_C t) *
+    J0(2 xi t).  Finite array: the exact N-term mode sum, except when every
+    requested time lies inside the ring's light cone; there the mode sum
+    differs from the continuum form by at most 4 (xi t_max)^N / N! relative to
+    g^2 (below 1e-17 where it is used), and the continuum form is returned.
     """
     ts = np.asarray(t, dtype=float)
     if np.any(ts < 0):
@@ -122,20 +155,22 @@ def memory_kernel(model, t):
             * (model.omega_c / model.omega_ref) ** (model.n - 1)
         )
         out = amp / (1 + 1j * model.omega_c * ts) ** (model.n + 1)
-    elif model.sites is None:
-        out = model.g**2 * np.exp(-1j * model.omega_C * ts) * j0(2 * model.xi * ts)
-        out = np.asarray(out, dtype=complex)
     else:
-        eps = model.mode_energies()
-        flat = np.atleast_1d(ts)
-        out = np.empty(flat.shape, dtype=complex)
-        # chunked so large time grids do not allocate an (M x N) matrix at once
-        step = max(1, 2**22 // max(len(eps), 1))
-        for lo in range(0, len(flat), step):
-            blk = flat[lo : lo + step]
-            out[lo : lo + step] = np.exp(-1j * np.outer(blk, eps)).sum(axis=1)
-        out *= model.g**2 / model.sites
-        out = out.reshape(ts.shape)
+        carrier = model.g**2 * np.exp(-1j * model.omega_C * ts)
+        if model.sites is None or _ring_matches_continuum(model, ts.max(initial=0.0)):
+            out = np.asarray(carrier * j0(2 * model.xi * ts), dtype=complex)
+        else:
+            # the band centre is factored out of the mode phases, so their
+            # rounding grows with 2 xi t rather than with omega_C t
+            offsets = 2 * model.xi * np.cos(2 * np.pi * np.arange(model.sites) / model.sites)
+            flat = np.atleast_1d(ts)
+            total = np.empty(flat.shape, dtype=complex)
+            # chunked so large time grids do not allocate an (M x N) matrix at once
+            step = max(1, 2**22 // model.sites)
+            for lo in range(0, len(flat), step):
+                blk = flat[lo : lo + step]
+                total[lo : lo + step] = np.exp(-1j * np.outer(blk, offsets)).sum(axis=1)
+            out = carrier * (total.reshape(ts.shape) / model.sites)
     return complex(out) if np.isscalar(t) else out
 
 

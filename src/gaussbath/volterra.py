@@ -20,6 +20,7 @@ Gamma + i*Omega = -u'(t)/u(t), estimated by finite differences.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +58,12 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
             raise ValueError("t_max must be finite and > 0")
-        if self.steps < 2:
-            raise ValueError("steps must be >= 2")
+        if (
+            isinstance(self.steps, bool)
+            or not isinstance(self.steps, numbers.Integral)
+            or self.steps < 2
+        ):
+            raise ValueError("steps must be an integer >= 2")
 
     @property
     def dt(self):

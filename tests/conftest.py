@@ -5,7 +5,9 @@ oracle builds second moments directly from operator averages, and the
 discord oracle minimizes the conditional entropy over an explicit scan of
 Gaussian measurements.  The Volterra oracle is the direct Heun loop that
 sums the full memory history at every step, O(M^2), against which the
-solver's fast history sum is checked.
+solver's fast history sum is checked.  The ring-kernel oracle is the
+finite ring's mode sum taken term by term at every time, against which the
+kernel's continuum shortcut inside the light cone is checked.
 """
 
 import numpy as np
@@ -105,3 +107,17 @@ def direct_heun_volterra(kernel, h):
         rate_next = -h * (0.5 * kernel[j + 1] * v[0] + hist_next + half_k0 * pred)
         v[j + 1] = v[j] + 0.5 * h * (rate + rate_next)
     return v
+
+
+def ring_mode_sum(model, ts):
+    """Finite-ring memory kernel g^2/N sum_m exp(-i eps_m t), term by term.
+
+    eps_m = omega_C + 2 xi cos(2 pi m / N); the common factor
+    exp(-i omega_C t) is taken out of the sum so that the rounding of the
+    phases stays at the scale of 2 xi t.
+    """
+    ts = np.asarray(ts, dtype=float)
+    k = 2 * np.pi * np.arange(model.sites) / model.sites
+    terms = np.exp(-1j * np.outer(ts, 2 * model.xi * np.cos(k)))
+    carrier = np.exp(-1j * model.omega_C * ts)
+    return model.g**2 * carrier * terms.sum(axis=1) / model.sites

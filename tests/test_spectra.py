@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import ring_mode_sum
 from scipy.optimize import brentq
 
 from gaussbath import (
@@ -14,6 +15,7 @@ from gaussbath import (
     memory_kernel_quadrature,
 )
 from gaussbath._quad import semi_infinite
+from gaussbath.spectra import _ring_matches_continuum
 
 OHMIC = OhmicFamilySpectrum(eta=0.08, n=3, omega_c=1.0, omega_ref=1.0)
 ARRAY_CONT = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=None)
@@ -115,11 +117,40 @@ class TestMemoryKernel:
         for sites in (50, 100, 200, 400):
             model = CavityArraySpectrum(g=0.02, xi=xi, omega_C=1.0, sites=sites)
             ts = np.linspace(0.0, sites / (8 * xi), 1500)
-            dev = np.abs(memory_kernel(model, ts) - memory_kernel(ARRAY_CONT, ts)).max()
+            dev = np.abs(ring_mode_sum(model, ts) - memory_kernel(ARRAY_CONT, ts)).max()
             if prev is not None:
                 assert dev <= max(prev, floor)
             prev = dev
         assert prev < 1e-12
+
+    @pytest.mark.parametrize("sites", [1, 4, 16, 50, 200, 400])
+    def test_ring_kernel_matches_mode_sum(self, sites):
+        # the windows fall on both sides of the switch to the continuum form
+        # (N=16 switches at t=10 only, N=400 keeps it up to t=2000)
+        model = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=sites)
+        for t_max in (10.0, 100.0, 500.0, 2000.0):
+            ts = np.linspace(0.0, t_max, 4001)
+            dev = np.abs(memory_kernel(model, ts) - ring_mode_sum(model, ts)).max()
+            assert dev <= 1e-14 * 0.02**2, (sites, t_max, dev)
+        scalar = memory_kernel(model, 3.0)
+        assert abs(scalar - ring_mode_sum(model, [3.0])[0]) <= 1e-14 * 0.02**2
+
+    def test_ring_kernel_branch_choice(self):
+        # fig4b ring (N=200, T=500) with its benchmark jitter stays inside the
+        # light cone: the kernel is the continuum form, bit for bit
+        ts = np.linspace(0.0, 500.0, 2001)
+        for xi in (0.05 * (1 - 1e-6), 0.05, 0.05 * (1 + 1e-6)):
+            ring = CavityArraySpectrum(g=0.02, xi=xi, omega_C=1.0, sites=200)
+            cont = CavityArraySpectrum(g=0.02, xi=xi, omega_C=1.0, sites=None)
+            assert _ring_matches_continuum(ring, 500.0)
+            assert np.array_equal(memory_kernel(ring, ts), memory_kernel(cont, ts))
+        # the small rings solved to T=200 see their recurrences: mode sum
+        ts = np.linspace(0.0, 200.0, 2001)
+        for sites in (4, 8, 16):
+            ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=sites)
+            assert not _ring_matches_continuum(ring, 200.0)
+            gap = np.abs(memory_kernel(ring, ts) - memory_kernel(ARRAY_CONT, ts)).max()
+            assert gap > 0.1 * 0.02**2
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -187,6 +218,15 @@ class TestValidation:
             CavityArraySpectrum(g=0.02, xi=0.6, omega_C=1.0)
         with pytest.raises(ValueError):
             CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=0)
+
+    @pytest.mark.parametrize("sites", [2.5, 3.0, True, False, "4", np.float64(4.0)])
+    def test_site_count_must_be_an_integer(self, sites):
+        with pytest.raises(ValueError):
+            CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=sites)
+
+    def test_numpy_integer_site_count_accepted(self):
+        model = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=np.int64(8))
+        assert len(model.mode_energies()) == 8
 
     def test_zero_coupling_is_allowed(self):
         # the decoupled limit is exercised by the dynamics contracts

@@ -226,6 +226,9 @@ class TestGridValidation:
                 TimeGrid(t_max=t_max, steps=100)
         with pytest.raises(ValueError):
             TimeGrid(t_max=1.0, steps=1)
+        for steps in (2.5, 100.0, True, "100"):
+            with pytest.raises(ValueError):
+                TimeGrid(t_max=10.0, steps=steps)
         for omega0 in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 SystemMode(omega0=omega0)
@@ -245,6 +248,8 @@ class TestGridValidation:
             lambda: CavityArraySpectrum(g=math.inf, xi=0.05, omega_C=1.0),
             lambda: CavityArraySpectrum(g=0.02, xi=math.inf, omega_C=1.0),
             lambda: CavityArraySpectrum(g=0.02, xi=0.05, omega_C=math.inf),
+            lambda: CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=2.5),
+            lambda: CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=True),
         ):
             with pytest.raises(ValueError):
                 build()
