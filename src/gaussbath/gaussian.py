@@ -89,10 +89,14 @@ def entropy_f(x):
     return float(out) if np.isscalar(x) else out
 
 
+def _check_squeezing(r):
+    if not (np.isfinite(r) and r >= 0):
+        raise ValueError(f"squeezing parameter r must be finite and >= 0, got {r}")
+
+
 def evolved_coefficients(u, r):
     """Kernel coefficients (a, b, c) of the evolved two-mode state."""
-    if r < 0:
-        raise ValueError("squeezing parameter r must be >= 0")
+    _check_squeezing(r)
     mod = abs(u)
     if mod > 1.0 + AMPLITUDE_TOL:
         raise PhysicalityError(f"|u| = {mod} exceeds 1 beyond tolerance")
@@ -155,25 +159,71 @@ def symplectic_invariants(cov):
     )
 
 
-def _conditional_m(I1, I2, I3, I4):
-    """The measurement term m of the discord formula, with branch label.
+def _measures(I1, I2, I3, I4, nu_minus, nu_plus, nu_t):
+    """Discord, mutual information, log-negativity and branch, elementwise.
 
-    The top expression applies when (I4 - I1 I2)^2 <= I3^2 (I2+1)(I1+I4);
-    otherwise the bottom one, whose undetermined symbol C^2 is read as I3^2
-    (the reading consistent with the boundary).
+    Takes scalars or arrays of the invariants, the symplectic eigenvalues
+    and the smallest symplectic eigenvalue nu_t of the partial transpose.
+    The discord D = f(sqrt(I2)) - f(nu-) - f(nu+) + f(sqrt(m)) is returned
+    unclamped, so that each caller applies its own policy to negative
+    roundoff.  The measurement term m takes the top expression when
+    (I4 - I1 I2)^2 <= I3^2 (I2+1)(I1+I4), otherwise the bottom one, whose
+    undetermined symbol C^2 is read as I3^2 (the reading consistent with the
+    boundary).  Where mode 2 is vacuum (I2 - 1 < VACUUM_EPS) the state is a
+    product: discord and mutual information are 0 and the branch is "top".
     """
-    if I2 - 1.0 < VACUUM_EPS:
-        # mode-2 marginal is vacuum, hence the state is a product: m -> I1
-        return I1, "top"
-    if (I4 - I1 * I2) ** 2 <= I3**2 * (I2 + 1.0) * (I1 + I4):
-        inner = max(I3**2 + (I2 - 1.0) * (I4 - I1), 0.0)
-        m = (2.0 * I3**2 + (I2 - 1.0) * (I4 - I1) + 2.0 * abs(I3) * np.sqrt(inner)) / (
-            I2 - 1.0
-        ) ** 2
-        return m, "top"
-    inner = max(I3**4 + (I4 - I1 * I2) ** 2 - 2.0 * I3**2 * (I4 + I1 * I2), 0.0)
-    m = (I1 * I2 - I3**2 + I4 - np.sqrt(inner)) / (2.0 * I2)
-    return m, "bottom"
+    # as arrays, so that ~live below negates a numpy bool, not a Python one
+    I1, I2, I3, I4, nu_minus, nu_plus, nu_t = map(
+        np.asarray, (I1, I2, I3, I4, nu_minus, nu_plus, nu_t)
+    )
+    live = I2 - 1.0 >= VACUUM_EPS
+    f1 = entropy_f(np.sqrt(I1))
+    f2 = entropy_f(np.sqrt(I2))
+    # grouped so that nu- = nu+ gives exactly 2 f(nu)
+    f_nu = entropy_f(nu_minus) + entropy_f(nu_plus)
+
+    top = (I4 - I1 * I2) ** 2 <= I3**2 * (I2 + 1.0) * (I1 + I4)
+    den = np.where(live, (I2 - 1.0) ** 2, 1.0)
+    inner_top = np.maximum(I3**2 + (I2 - 1.0) * (I4 - I1), 0.0)
+    m_top = (2.0 * I3**2 + (I2 - 1.0) * (I4 - I1) + 2.0 * np.abs(I3) * np.sqrt(inner_top)) / den
+    inner_bot = np.maximum(I3**4 + (I4 - I1 * I2) ** 2 - 2.0 * I3**2 * (I4 + I1 * I2), 0.0)
+    m_bot = (I1 * I2 - I3**2 + I4 - np.sqrt(inner_bot)) / (2.0 * I2)
+    fm = entropy_f(np.sqrt(np.maximum(np.where(top, m_top, m_bot), 1.0)))
+
+    discord = np.where(live, f2 - f_nu + fm, 0.0)
+    mutual = np.where(live, np.maximum(f1 + f2 - f_nu, 0.0), 0.0)
+    log_neg = np.where(nu_t < 1.0 - 1e-12, -np.log(np.where(nu_t > 0, nu_t, 1.0)), 0.0)
+    return discord, mutual, log_neg, np.where(top | ~live, "top", "bottom")
+
+
+def correlation_measures(cov):
+    """All correlation measures of one state in a single pass.
+
+    Log-negativity is max(0, -ln nu~-) from the partial transpose,
+    nu~-^2 = (delta~ - sqrt(delta~^2 - 4 I4))/2 with delta~ = I1+I2-2I3.
+    A discord more negative than DISCORD_CLAMP raises; smaller negative
+    roundoff is clamped to zero.
+    """
+    inv = symplectic_invariants(cov)
+    dtil = inv.I1 + inv.I2 - 2.0 * inv.I3
+    disc = dtil * dtil - 4.0 * inv.I4
+    if disc < -1e-9:
+        raise PhysicalityError(f"delta~^2 - 4 I4 = {disc} is negative")
+    nu_t = np.sqrt(0.5 * (dtil - np.sqrt(max(disc, 0.0))))
+    discord, mutual, log_neg, branch = _measures(
+        inv.I1, inv.I2, inv.I3, inv.I4, inv.nu_minus, inv.nu_plus, nu_t
+    )
+    if discord < -DISCORD_CLAMP:
+        raise PhysicalityError(f"discord {discord} more negative than roundoff allows")
+    discord = max(float(discord), 0.0)
+    mutual = float(mutual)
+    return CorrelationMeasures(
+        discord=discord,
+        mutual_info=mutual,
+        classical=mutual - discord,
+        log_neg=float(log_neg),
+        branch=str(branch),
+    )
 
 
 def gaussian_discord(cov):
@@ -182,73 +232,33 @@ def gaussian_discord(cov):
     Returns (discord, branch).  Tiny negative values within 1e-9 are clamped
     to zero; anything more negative raises.
     """
-    inv = symplectic_invariants(cov)
-    if inv.nu_minus < 1.0 - F_DOMAIN_TOL:
-        raise PhysicalityError(f"nu_minus = {inv.nu_minus} below 1")
-    if inv.I2 - 1.0 < VACUUM_EPS:
-        return 0.0, "top"
-    m, branch = _conditional_m(inv.I1, inv.I2, inv.I3, inv.I4)
-    disc = (
-        entropy_f(np.sqrt(inv.I2))
-        - entropy_f(inv.nu_minus)
-        - entropy_f(inv.nu_plus)
-        + entropy_f(np.sqrt(max(m, 1.0)))
-    )
-    if disc < -DISCORD_CLAMP:
-        raise PhysicalityError(f"discord {disc} more negative than roundoff allows")
-    return max(disc, 0.0), branch
+    cm = correlation_measures(cov)
+    return cm.discord, cm.branch
 
 
 def mutual_and_classical(cov):
     """Total correlations I = f(sqrt(I1)) + f(sqrt(I2)) - f(nu-) - f(nu+) and
     the classical share C = I - D.  Returns (mutual_info, classical)."""
-    inv = symplectic_invariants(cov)
-    mutual = (
-        entropy_f(np.sqrt(inv.I1))
-        + entropy_f(np.sqrt(inv.I2))
-        - entropy_f(inv.nu_minus)
-        - entropy_f(inv.nu_plus)
-    )
-    disc, _ = gaussian_discord(cov)
-    return mutual, mutual - disc
+    cm = correlation_measures(cov)
+    return cm.mutual_info, cm.classical
 
 
 def log_negativity(cov):
-    """Gaussian logarithmic negativity max(0, -ln nu~-) from the partial
-    transpose, nu~-^2 = (delta~ - sqrt(delta~^2 - 4 I4))/2, delta~ = I1+I2-2I3."""
-    inv = symplectic_invariants(cov)
-    dtil = inv.I1 + inv.I2 - 2.0 * inv.I3
-    disc = dtil * dtil - 4.0 * inv.I4
-    if disc < -1e-9:
-        raise PhysicalityError(f"delta~^2 - 4 I4 = {disc} is negative")
-    nu_t = np.sqrt(0.5 * (dtil - np.sqrt(max(disc, 0.0))))
-    if nu_t >= 1.0 - 1e-12:
-        return 0.0  # separable (within roundoff)
-    return float(-np.log(nu_t))
-
-
-def correlation_measures(cov):
-    """All correlation measures of one state in a single pass."""
-    disc, branch = gaussian_discord(cov)
-    mutual, classical = mutual_and_classical(cov)
-    return CorrelationMeasures(
-        discord=disc,
-        mutual_info=mutual,
-        classical=classical,
-        log_neg=log_negativity(cov),
-        branch=branch,
-    )
+    """Gaussian logarithmic negativity max(0, -ln nu~-) of the partial transpose."""
+    return correlation_measures(cov).log_neg
 
 
 def measures_from_amplitude(u, r):
     """Vectorized correlation measures along an amplitude trajectory.
 
     Uses the closed-form invariants of the evolved-state family
-    (I1 = I2 = A^2, I3 = -4|w|^2, I4 = (A^2 - 4|w|^2)^2 with
-    A = 1 + 2|u|^2 sinh^2 r and |w| = |u|^2 sinh r cosh r), which the
-    per-sample covariance route reproduces entrywise.  Returns a dict of
-    arrays keyed like the CSV columns.
+    (I1 = I2 = A^2, I3 = -4|w|^2, I4 = (A^2 - 4|w|^2)^2, nu- = nu+ =
+    sqrt(A^2 - 4|w|^2) and nu~- = A - 2|w|, with A = 1 + 2|u|^2 sinh^2 r and
+    |w| = |u|^2 sinh r cosh r), which the per-sample covariance route
+    reproduces entrywise.  Negative discord roundoff is clamped to zero.
+    Returns a dict of arrays keyed like the CSV columns.
     """
+    _check_squeezing(r)
     u = np.asarray(u, dtype=complex)
     U = np.abs(u) ** 2
     sh, ch = np.sinh(r), np.cosh(r)
@@ -257,24 +267,9 @@ def measures_from_amplitude(u, r):
     I1 = A * A
     I3 = -4.0 * wabs * wabs
     I4 = (A * A - 4.0 * wabs * wabs) ** 2
-    nu = np.sqrt(A * A - 4.0 * wabs * wabs)  # nu- = nu+ for this family
-    nu_t = A - 2.0 * wabs
-    log_neg = np.where(nu_t < 1.0 - 1e-12, -np.log(np.where(nu_t > 0, nu_t, 1.0)), 0.0)
-
-    live = I1 - 1.0 >= VACUUM_EPS
-    top = (I4 - I1 * I1) ** 2 <= I3**2 * (I1 + 1.0) * (I1 + I4)
-    den = np.where(live, (I1 - 1.0) ** 2, 1.0)
-    inner_top = np.maximum(I3**2 + (I1 - 1.0) * (I4 - I1), 0.0)
-    m_top = (2.0 * I3**2 + (I1 - 1.0) * (I4 - I1) + 2.0 * np.abs(I3) * np.sqrt(inner_top)) / den
-    inner_bot = np.maximum(I3**4 + (I4 - I1 * I1) ** 2 - 2.0 * I3**2 * (I4 + I1 * I1), 0.0)
-    m_bot = (I1 * I1 - I3**2 + I4 - np.sqrt(inner_bot)) / (2.0 * I1)
-    m = np.where(top, m_top, m_bot)
-
-    fA = entropy_f(A)
-    fnu = entropy_f(nu)
-    fm = entropy_f(np.sqrt(np.maximum(m, 1.0)))
-    discord = np.where(live, np.maximum(fA - 2.0 * fnu + fm, 0.0), 0.0)
-    mutual = np.where(live, np.maximum(2.0 * fA - 2.0 * fnu, 0.0), 0.0)
+    nu = np.sqrt(A * A - 4.0 * wabs * wabs)
+    discord, mutual, log_neg, branch = _measures(I1, I1, I3, I4, nu, nu, A - 2.0 * wabs)
+    discord = np.maximum(discord, 0.0)
     return {
         "I1": I1,
         "I2": I1.copy(),
@@ -286,5 +281,5 @@ def measures_from_amplitude(u, r):
         "mutual_info": mutual,
         "classical": mutual - discord,
         "log_neg": log_neg,
-        "branch": np.where(top | ~live, "top", "bottom"),
+        "branch": branch,
     }

@@ -136,27 +136,13 @@ def parse_config(text, overrides=None):
     return _build_config(values, errors)
 
 
-def _build_config(values, errors=None):
-    errors = list(errors or [])
-    model = values.get("model")
-    has_ohmic = not OHMIC_KEYS.isdisjoint(values)
-    has_array = not ARRAY_KEYS.isdisjoint(values)
-    if model is None:
-        if has_ohmic and not has_array:
-            model = "ohmic"
-        elif has_array and not has_ohmic:
-            model = "array"
-        elif has_ohmic and has_array:
-            errors.append("both Ohmic-family and array keys given; set model= explicitly")
-        else:
-            errors.append("no model parameters given")
-    elif model not in ("ohmic", "array"):
-        errors.append(f"model must be 'ohmic' or 'array', got {model!r}")
-    if model == "ohmic" and has_array:
+def _value_errors(values, model):
+    """Range, model-key and cross-key problems of one set of parameter values."""
+    errors = []
+    if model == "ohmic" and not ARRAY_KEYS.isdisjoint(values):
         errors.append("array keys (g, xi, omega_C, N) are invalid for model=ohmic")
-    if model == "array" and has_ohmic:
+    if model == "array" and not OHMIC_KEYS.isdisjoint(values):
         errors.append("Ohmic-family keys (eta, n, omega_c, omega_ref) are invalid for model=array")
-
     # NaN and inf pass every range check below, so reject them first
     for key, value in values.items():
         numbers = value if key == "sweep_values" else (value,)
@@ -176,6 +162,28 @@ def _build_config(values, errors=None):
         errors.append(f"N must be >= 1, got {values['N']}")
     if values.get("topology") not in (None, "ring", "open"):
         errors.append(f"topology must be 'ring' or 'open', got {values['topology']!r}")
+    xi, wC = values.get("xi"), values.get("omega_C")
+    if xi is not None and wC is not None and wC <= 2 * xi:
+        errors.append(f"omega_C={wC} must exceed 2*xi={2 * xi}")
+    return errors
+
+
+def _build_config(values, errors=None):
+    errors = list(errors or [])
+    model = values.get("model")
+    has_ohmic = not OHMIC_KEYS.isdisjoint(values)
+    has_array = not ARRAY_KEYS.isdisjoint(values)
+    if model is None:
+        if has_ohmic and not has_array:
+            model = "ohmic"
+        elif has_array and not has_ohmic:
+            model = "array"
+        elif has_ohmic and has_array:
+            errors.append("both Ohmic-family and array keys given; set model= explicitly")
+        else:
+            errors.append("no model parameters given")
+    elif model not in ("ohmic", "array"):
+        errors.append(f"model must be 'ohmic' or 'array', got {model!r}")
 
     if model == "ohmic":
         for key in ("eta", "n", "omega_c"):
@@ -186,9 +194,8 @@ def _build_config(values, errors=None):
             if values.get(key) is None:
                 errors.append(f"model=array requires {key}")
         values.setdefault("omega_C", 1.0)
-        g, xi, wC = values.get("g"), values.get("xi"), values.get("omega_C")
-        if g and xi and wC and wC <= 2 * xi:
-            errors.append(f"omega_C={wC} must exceed 2*xi={2 * xi}")
+    base_errors = _value_errors(values, model)
+    errors.extend(base_errors)
 
     outputs = values.get("outputs")
     if outputs is not None:
@@ -200,6 +207,15 @@ def _build_config(values, errors=None):
         errors.append(f"sweep parameter must be one of {SWEEPABLE}, got {sweep!r}")
     if sweep is not None and not values.get("sweep_values"):
         errors.append("sweep requires sweep_values")
+    if sweep in SWEEPABLE:
+        # every sweep point is a config of its own: check it like one
+        for value in values.get("sweep_values") or ():
+            point_errors = _value_errors({**values, sweep: value}, model)
+            errors.extend(
+                f"sweep point {sweep}={value!r}: {problem}"
+                for problem in point_errors
+                if problem not in base_errors
+            )
 
     if errors:
         raise ConfigError(errors)

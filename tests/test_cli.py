@@ -11,6 +11,7 @@ from gaussbath.cli import main
 from gaussbath.scenario import run_modes, run_scenario, run_sweep
 
 OHMIC_TEXT = "eta=0.08\nn=3\nomega_c=1.0\nr=1.0\nt_max=50\nsteps=5000\n"
+ARRAY_TEXT = "g=0.02\nxi=0.05\nomega_C=1.0\nN=200\nomega0=0.8\n"
 
 
 class TestParseConfig:
@@ -35,6 +36,18 @@ class TestParseConfig:
             with pytest.raises(ConfigError) as exc:
                 parse_config(text)
             assert any(key in problem and "finite" in problem for problem in exc.value.errors)
+        # every sweep point meets the same range rules as a plain value
+        for key, text in (
+            ("r", OHMIC_TEXT + "sweep=r\nsweep_values=-1,1\n"),
+            ("eta", OHMIC_TEXT + "sweep=eta\nsweep_values=0.1,-1\n"),
+            ("omega0", OHMIC_TEXT + "sweep=omega0\nsweep_values=0\n"),
+            ("n", OHMIC_TEXT + "sweep=n\nsweep_values=3,0\n"),
+        ):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(text)
+            assert any(f"sweep point {key}=" in p and f"{key} must be" in p
+                       for p in exc.value.errors)
+            assert not any("omega_ref" in p for p in exc.value.errors)
 
     def test_all_errors_reported_not_just_first(self):
         with pytest.raises(ConfigError) as exc:
@@ -74,6 +87,30 @@ class TestParseConfig:
             parse_config(OHMIC_TEXT + "sweep=cabbage\nsweep_values=1,2\n")
         with pytest.raises(ConfigError):
             parse_config(OHMIC_TEXT + "sweep=eta\n")
+        # a swept key of the other model would be ignored by the solve
+        for text, key in (
+            (OHMIC_TEXT + "sweep=g\nsweep_values=0.01,0.02\n", "g"),
+            (ARRAY_TEXT + "sweep=eta\nsweep_values=0.1\n", "eta"),
+        ):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(text)
+            assert any(f"sweep point {key}=" in p and "invalid for model" in p
+                       for p in exc.value.errors)
+        # the band cross-check holds at every swept xi and omega_C
+        for text, bad in (
+            (ARRAY_TEXT + "sweep=xi\nsweep_values=0.05,0.6\n", "xi=0.6"),
+            (ARRAY_TEXT + "sweep=omega_C\nsweep_values=1.0,0.08\n", "omega_C=0.08"),
+        ):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(text)
+            [problem] = exc.value.errors
+            assert problem.startswith(f"sweep point {bad}: ") and "must exceed 2*xi" in problem
+        # valid points still parse, and the base config's own errors are
+        # not repeated once per point
+        assert parse_config(ARRAY_TEXT + "sweep=omega0\nsweep_values=0.8,0.9\n").sweep == "omega0"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(OHMIC_TEXT + "tol=-1\nsweep=eta\nsweep_values=0.1,0.2,0.3\n")
+        assert exc.value.errors == ["tol must be > 0, got -1.0"]
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +314,19 @@ class TestCliEndToEnd:
         assert main(args) == 2
         assert "eta must be finite" in capsys.readouterr().err
         assert not (tmp_path / "nan.csv").exists()
+        # zero coupling does not skip the band check: omega_C = 1 < 2 xi
+        args = ["solve", "--g", "0", "--xi", "0.6", "--omega-cavity", "1",
+                "--omega0", "0.8", "--out", str(tmp_path / "g0.csv")]
+        assert main(args) == 2
+        assert "must exceed 2*xi" in capsys.readouterr().err
+        assert not (tmp_path / "g0.csv").exists()
+        # an out-of-range sweep point is a config error, not a failed point
+        config = tmp_path / "sweep.cfg"
+        config.write_text(OHMIC_TEXT + "t_max=5\nsteps=100\nsweep=eta\nsweep_values=0.1,-1\n")
+        args = ["sweep", "--config", str(config), "--out", str(tmp_path / "sweep.csv")]
+        assert main(args) == 2
+        assert "sweep point eta=-1.0: eta must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         config = tmp_path / "hard.cfg"

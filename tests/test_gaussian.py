@@ -26,6 +26,14 @@ SWAP = np.zeros((4, 4))
 SWAP[0, 2] = SWAP[1, 3] = SWAP[2, 0] = SWAP[3, 1] = 1.0
 
 
+def _standard_form(a, b, c1, c2):
+    """Covariance diag(a, a, b, b) with cross correlations c1 (x) and c2 (p)."""
+    sigma = np.diag([a, a, b, b])
+    sigma[0, 2] = sigma[2, 0] = c1
+    sigma[1, 3] = sigma[3, 1] = c2
+    return sigma
+
+
 class TestEvolvedCoefficients:
     def test_initial_state(self):
         co = evolved_coefficients(1.0, 1.0)
@@ -52,6 +60,13 @@ class TestEvolvedCoefficients:
             evolved_coefficients(1.0 + 1e-6, 1.0)
         with pytest.raises(ValueError):
             evolved_coefficients(0.5, -0.1)
+
+    def test_both_routes_reject_bad_squeezing(self):
+        for r in (-0.1, -1e-300, np.nan, np.inf):
+            with pytest.raises(ValueError, match="squeezing parameter r must be finite and >= 0"):
+                evolved_coefficients(0.5, r)
+            with pytest.raises(ValueError, match="squeezing parameter r must be finite and >= 0"):
+                measures_from_amplitude(np.array([1.0, 0.5]), r)
 
 
 class TestCovariance:
@@ -155,6 +170,15 @@ class TestDiscord:
             # overshoot the discord by its own resolution
             assert scanned >= disc - 1e-9
             assert scanned - disc < 2e-4
+        # asymmetric marginals (alpha1 != alpha2), either one the larger:
+        # opposite-sign cross correlations stay on the top expression
+        for a, b, c1, c2 in ((3.0, 2.0, 2.0, -2.0), (2.0, 3.0, 1.5, -1.2)):
+            sigma = _standard_form(a, b, c1, c2)
+            disc, branch = gaussian_discord(CovarianceMatrix4.from_matrix(sigma))
+            assert branch == "top"
+            scanned, _ = brute_force_discord(sigma)
+            assert scanned >= disc - 1e-9
+            assert scanned - disc < 2e-4
 
     def test_bottom_branch_on_synthetic_state(self):
         # same-sign, unequal cross correlations select the bottom expression
@@ -170,6 +194,15 @@ class TestDiscord:
         scanned, _ = brute_force_discord(sigma)
         assert scanned >= disc - 1e-9
         assert scanned - disc < 5e-4
+        # asymmetric marginals (alpha1 != alpha2), either one the larger
+        for a, b, c1, c2 in ((2.0, 3.0, 1.2, 0.4), (3.0, 2.0, 1.5, 0.5)):
+            sigma = _standard_form(a, b, c1, c2)
+            disc, branch = gaussian_discord(CovarianceMatrix4.from_matrix(sigma))
+            assert branch == "bottom"
+            assert disc > 0.0
+            scanned, _ = brute_force_discord(sigma)
+            assert scanned >= disc - 1e-9
+            assert scanned - disc < 5e-4
 
     def test_positivity_and_ordering_on_random_ensemble(self):
         rng = np.random.default_rng(23)
@@ -233,6 +266,18 @@ class TestPhysicalityGuards:
         bad[0, 1] = 0.3
         with pytest.raises(ValueError):
             CovarianceMatrix4.from_matrix(bad)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=PhysicalityError,
+        reason="m computed from generic invariants loses about 1e-7 absolute "
+        "accuracy when I2 - 1 is of that order, so this physical, nearly "
+        "decayed state gives a raw discord of -3.9e-9, below -DISCORD_CLAMP",
+    )
+    def test_nearly_decayed_state_is_physical(self):
+        cov = covariance_from_amplitude(np.sqrt(1e-9), 1.0)
+        disc, _ = gaussian_discord(cov)
+        assert 0.0 <= disc < 1e-8
 
 
 class TestMutualInformation:
