@@ -41,7 +41,6 @@ from .spectra import (
     evaluate_density,
     level_shift_integral,
     memory_kernel,
-    memory_kernel_quadrature,
 )
 from .volterra import (
     AmplitudeTrajectory,

@@ -152,6 +152,12 @@ def _value_errors(values, model):
     for key in positive:
         if values.get(key) is not None and values[key] <= 0:
             errors.append(f"{key} must be > 0, got {values[key]}")
+    n = values.get("n")
+    if n is not None and 0 < n < math.inf:
+        try:
+            math.gamma(n + 1)
+        except OverflowError:
+            errors.append(f"n={n} is too large: Gamma(n+1) overflows double precision")
     # zero coupling (free evolution) is legitimate
     for key in ("eta", "g", "r"):
         if values.get(key) is not None and values[key] < 0:

@@ -7,10 +7,16 @@ Gaussian measurements.  The Volterra oracle is the direct Heun loop that
 sums the full memory history at every step, O(M^2), against which the
 solver's fast history sum is checked.  The ring-kernel oracle is the
 finite ring's mode sum taken term by term at every time, against which the
-kernel's continuum shortcut inside the light cone is checked.
+kernel's continuum shortcut inside the light cone is checked.  The
+quadrature oracle is adaptive Gauss-Legendre integration of the spectral
+density itself, against which the closed-form memory kernels and Ohmic
+level shifts are checked.
 """
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+
+from gaussbath import OhmicFamilySpectrum, evaluate_density
 
 
 def moment_covariance(u, r):
@@ -121,3 +127,75 @@ def ring_mode_sum(model, ts):
     terms = np.exp(-1j * np.outer(ts, 2 * model.xi * np.cos(k)))
     carrier = np.exp(-1j * model.omega_C * ts)
     return model.g**2 * carrier * terms.sum(axis=1) / model.sites
+
+
+_NODES, _WEIGHTS = leggauss(24)
+
+
+def _panel(fun, lo, hi):
+    x = 0.5 * (hi - lo) * _NODES + 0.5 * (hi + lo)
+    return 0.5 * (hi - lo) * np.sum(_WEIGHTS * fun(x))
+
+
+def adaptive_gauss(fun, a, b, abs_tol=1e-12, max_depth=48):
+    """Integrate ``fun`` (vectorized, real or complex) over [a, b].
+
+    Panels are bisected until the 24-point Gauss estimate of a panel agrees
+    with the sum over its halves to the locally allotted tolerance.  The
+    tolerance halves with each bisection, so one far below the rounding of
+    the integral sends every panel to ``max_depth``: scale it to the value.
+    """
+    stack = [(a, b, _panel(fun, a, b), abs_tol, 0)]
+    total = 0.0 + 0.0j
+    while stack:
+        lo, hi, whole, tol, depth = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left = _panel(fun, lo, mid)
+        right = _panel(fun, mid, hi)
+        if abs(whole - (left + right)) < tol or depth >= max_depth:
+            total += left + right
+        else:
+            stack.append((lo, mid, left, 0.5 * tol, depth + 1))
+            stack.append((mid, hi, right, 0.5 * tol, depth + 1))
+    if abs(total.imag) == 0.0:
+        return total.real
+    return total
+
+
+def semi_infinite(fun, scale, abs_tol=1e-12, tail=50.0):
+    """Integrate ``fun`` over [0, inf) via the mapping w = scale*s/(1-s).
+
+    ``tail`` truncates the map at w = tail*scale, adequate whenever the
+    integrand decays at least like exp(-w/scale) and peaks well below the
+    cut (w^n exp(-w/scale) peaks at n*scale).
+    """
+    s_max = tail / (tail + 1.0)
+
+    def mapped(s):
+        w = scale * s / (1.0 - s)
+        return fun(w) * scale / (1.0 - s) ** 2
+
+    return adaptive_gauss(mapped, 0.0, s_max, abs_tol=abs_tol)
+
+
+def memory_kernel_quadrature(model, t, abs_tol=1e-13):
+    """Memory kernel int J(w) exp(-i w t) dw by quadrature (continuum variants).
+
+    Finite rings are exact sums already and have the lattice as their oracle.
+    """
+    if isinstance(model, OhmicFamilySpectrum):
+
+        def integrand(w):
+            return evaluate_density(model, w) * np.exp(-1j * w * t)
+
+        return semi_infinite(integrand, model.omega_c, abs_tol=abs_tol)
+    if model.sites is not None:
+        raise ValueError("the quadrature oracle applies to the continuum variants only")
+
+    # substitute w = omega_C + 2 xi cos(theta); the inverse-sqrt band-edge
+    # singularities integrate out exactly
+    def integrand(theta):
+        w = model.omega_C + 2 * model.xi * np.cos(theta)
+        return (model.g**2 / np.pi) * np.exp(-1j * w * t)
+
+    return adaptive_gauss(integrand, 0.0, np.pi, abs_tol=abs_tol)

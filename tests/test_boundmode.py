@@ -1,5 +1,7 @@
 """Bound-mode existence, energies, residues and the frozen-amplitude link."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -121,6 +123,25 @@ class TestSuperohmicCriterion:
             expected, _ = superohmic_criterion(eta, omega_c, 1.0)
             found = find_bound_mode(ohmic(eta, omega_c), MODE).exists
             assert found == expected
+
+    def test_general_n_existence_matches_value_at_zero(self):
+        # a bound mode exists iff y(0) < 0, i.e.
+        # omega0 < eta Gamma(n) omega_c^n / omega_ref^(n-1)
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            eta = rng.uniform(1e-3, 2.0)
+            n = rng.uniform(0.3, 5.0)
+            omega_c = rng.uniform(1e-2, 3.0)
+            omega_ref = rng.uniform(0.5, 2.0)
+            model = OhmicFamilySpectrum(eta=eta, n=n, omega_c=omega_c, omega_ref=omega_ref)
+            expected = 1.0 < eta * math.gamma(n) * omega_c**n / omega_ref ** (n - 1)
+            bm = find_bound_mode(model, MODE)
+            assert bm.exists == expected, (eta, n, omega_c, omega_ref)
+            if bm.exists:
+                assert bm.E_b < 0
+                assert abs(spectral_function_y(model, MODE, bm.E_b) - bm.E_b) <= 1e-9 * max(
+                    1.0, abs(bm.E_b)
+                )
 
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(ValueError):

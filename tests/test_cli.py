@@ -266,6 +266,14 @@ class TestModes:
         assert float(summary["# E_b"]) == pytest.approx(-0.58757, abs=1e-4)
         assert float(summary["# Z2"]) == pytest.approx(0.43387, abs=1e-4)
 
+    def test_ohmic_n8_completes_with_exact_value_at_zero(self):
+        # the adaptive quadrature this replaced never returned at n = 8
+        cfg = parse_config("eta=1.0\nn=8\nomega_c=1.0\nomega_ref=1.0\n")
+        _, rows = run_modes(cfg)
+        y0 = [float(row.split(",")[1]) for row in rows if row.startswith("0.0,")]
+        assert y0 == [pytest.approx(1.0 - math.gamma(8), rel=1e-15)]
+        assert "# exists=true" in rows
+
     def test_samples_stay_outside_support(self):
         cfg = parse_config("model=array\ng=0.02\nxi=0.05\nomega_C=1.0\nN=200\nomega0=0.8\n")
         _, rows = run_modes(cfg)
@@ -327,6 +335,20 @@ class TestCliEndToEnd:
         assert main(args) == 2
         assert "sweep point eta=-1.0: eta must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_overflowing_n_is_a_config_error(self, tmp_path, capsys):
+        # Gamma(n+1) overflows above n = 170.6: modes and solve stop at the
+        # config stage with exit 2 and write nothing
+        for command in ("modes", "solve"):
+            out = tmp_path / f"{command}.csv"
+            args = [command, "--eta", "1.0", "--n", "200", "--omega-c", "1.0", "--out", str(out)]
+            assert main(args) == 2
+            assert "n=200.0 is too large" in capsys.readouterr().err
+            assert not out.exists()
+        config = tmp_path / "sweep.cfg"
+        config.write_text("eta=1.0\nn=3\nomega_c=1.0\nsweep=n\nsweep_values=3,171\n")
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "s.csv")]) == 2
+        assert "sweep point n=171.0: n=171.0 is too large" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         config = tmp_path / "hard.cfg"

@@ -1,8 +1,10 @@
 """Spectral densities, memory kernels and level-shift integrals."""
 
+import math
+
 import numpy as np
 import pytest
-from conftest import ring_mode_sum
+from conftest import memory_kernel_quadrature, ring_mode_sum, semi_infinite
 from scipy.optimize import brentq
 
 from gaussbath import (
@@ -12,9 +14,7 @@ from gaussbath import (
     evaluate_density,
     level_shift_integral,
     memory_kernel,
-    memory_kernel_quadrature,
 )
-from gaussbath._quad import semi_infinite
 from gaussbath.spectra import _ring_matches_continuum
 
 OHMIC = OhmicFamilySpectrum(eta=0.08, n=3, omega_c=1.0, omega_ref=1.0)
@@ -196,6 +196,90 @@ class TestLevelShift:
             Es = np.linspace(upper - 3.0, upper, 40)
             ys = [-level_shift_integral(model, E, 1) for E in Es]
             assert np.all(np.diff(ys) < 0)
+
+    @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 2.5, 3.0, 5.5])
+    @pytest.mark.parametrize("omega_c", [0.25, 1.0, 3.0])
+    def test_ohmic_closed_form_matches_quadrature(self, n, omega_c):
+        # the quadrature, not the closed form, sets the bound: asked for
+        # 1e-10 relative, its panel-by-panel error estimate lets the total
+        # drift to about 2e-10 on this grid
+        model = OhmicFamilySpectrum(eta=0.7, n=n, omega_c=omega_c, omega_ref=1.3)
+        for a in np.geomspace(1e-8, 3 * max(omega_c, 1.0), 9):
+            for order in (1, 2):
+                value = level_shift_integral(model, -a, order)
+                oracle = semi_infinite(
+                    lambda w: evaluate_density(model, w) / (w + a) ** order,
+                    omega_c,
+                    abs_tol=1e-10 * value,
+                )
+                assert value == pytest.approx(oracle, rel=1e-9), (a, order)
+
+    @pytest.mark.parametrize("n", [0.5, 2.5, 5.5])
+    def test_ohmic_exact_at_zero(self, n):
+        # order k at E = 0 is eta omega_ref^(1-n) Gamma(n+1-k) omega_c^(n+1-k)
+        eta, omega_c, omega_ref = 0.7, 3.0, 1.3
+        model = OhmicFamilySpectrum(eta=eta, n=n, omega_c=omega_c, omega_ref=omega_ref)
+        for order in (1, 2):
+            if n + 1 - order <= 0:
+                # J/w^2 ~ w^(n-2) is not integrable at the origin
+                with pytest.raises(ValueError, match="diverges"):
+                    level_shift_integral(model, 0.0, order)
+                continue
+            exact = eta * omega_ref ** (1 - n) * math.gamma(n + 1 - order) * omega_c ** (n + 1 - order)
+            assert level_shift_integral(model, 0.0, order) == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [0.5, 1.0, 3.0, 5.5])
+    def test_ohmic_far_below_follows_moments(self, n):
+        # for a = -E >> omega_c the level shifts tend to f(0)/a and f(0)/a^2,
+        # f(0) = int J, with corrections of order omega_c/a = 1e-9; order 2
+        # loses nothing to cancellation there
+        model = OhmicFamilySpectrum(eta=0.7, n=n, omega_c=1.0, omega_ref=1.3)
+        total = memory_kernel(model, 0.0).real
+        a = 1e9
+        second = level_shift_integral(model, -a, 2)
+        assert math.isfinite(second) and second >= 0.0
+        assert second == pytest.approx(total / a**2, rel=1e-7)
+        assert level_shift_integral(model, -a, 1) == pytest.approx(total / a, rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "n, E, first, second",
+        [
+            # orders 1 and 2, Gamma(n+1) U(k, k-n, -E), to 40 digits; the
+            # first four rows take the series (-E <= 2), the first of them
+            # with the incomplete-gamma start of n <= 1/2, the next two the
+            # continued fraction
+            (0.5, -0.5, 0.61029212098535003, 0.55186960893481597),
+            (1.0, -1.5, 0.32761499606262557, 0.12064167322895738),
+            (2.5, -1.9, 0.68722180723078707, 0.15767106243809449),
+            (2.999, -0.7, 1.5302769792322358, 0.4742490425754929),
+            (3.0, -2.5, 1.0074088049064985, 0.18370062920570341),
+            (5.5, -12.0, 15.842510490383091, 0.88677868611168866),
+            # large n: the integrand w^n e^(-w) peaks at w = n, far from the origin
+            (8, -0.5, 4707.3239176196581, 615.49340046581163),
+            (20, -0.5, 1.1853029916328657e17, 6.0617506585304932e15),
+            (50, -0.5, 6.021388816148583e62, 1.2159360326067946e61),
+            (100, -0.5, 9.2857263408742228e155, 9.3314363164273243e153),
+        ],
+    )
+    def test_ohmic_matches_extended_precision(self, n, E, first, second):
+        model = OhmicFamilySpectrum(eta=1.0, n=n, omega_c=1.0, omega_ref=1.0)
+        assert level_shift_integral(model, E, 1) == pytest.approx(first, rel=3e-13)
+        assert level_shift_integral(model, E, 2) == pytest.approx(second, rel=3e-13)
+
+    @pytest.mark.parametrize("n, omega_c", [(200.0, 1.0), (171.0, 0.5), (150.0, 100.0)])
+    def test_ohmic_overflow_is_a_value_error(self, n, omega_c):
+        # Gamma(n+1) overflows above n = 170.6; (omega_c/omega_ref)^n can too
+        model = OhmicFamilySpectrum(eta=1.0, n=n, omega_c=omega_c, omega_ref=1.0)
+        for E in (0.0, -1e-8, -0.5, -1e3, -1e9):
+            for order in (1, 2):
+                with pytest.raises(ValueError, match="overflows double precision"):
+                    level_shift_integral(model, E, order)
+
+    def test_non_finite_energy_rejected(self):
+        for model in (OHMIC, ARRAY_CONT):
+            for E in (float("nan"), -float("inf")):
+                with pytest.raises(ValueError, match="finite"):
+                    level_shift_integral(model, E, 1)
 
     def test_support_rejection(self):
         with pytest.raises(SupportError):
