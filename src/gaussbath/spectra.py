@@ -147,12 +147,18 @@ def memory_kernel(model, t):
     if np.any(ts < 0):
         raise ValueError("memory kernel is defined for t >= 0")
     if isinstance(model, OhmicFamilySpectrum):
-        amp = (
-            model.eta
-            * math.gamma(model.n + 1)
-            * model.omega_c**2
-            * (model.omega_c / model.omega_ref) ** (model.n - 1)
-        )
+        try:
+            amp = (
+                model.eta
+                * math.gamma(model.n + 1)
+                * model.omega_c**2
+                * (model.omega_c / model.omega_ref) ** (model.n - 1)
+            )
+        except OverflowError:
+            raise ValueError(
+                f"the Ohmic memory kernel overflows double precision "
+                f"(n={model.n}, omega_c={model.omega_c}, omega_ref={model.omega_ref})"
+            ) from None
         out = amp / (1 + 1j * model.omega_c * ts) ** (model.n + 1)
     else:
         carrier = model.g**2 * np.exp(-1j * model.omega_C * ts)
@@ -171,23 +177,6 @@ def memory_kernel(model, t):
                 total[lo : lo + step] = np.exp(-1j * np.outer(blk, offsets)).sum(axis=1)
             out = carrier * (total.reshape(ts.shape) / model.sites)
     return complex(out) if np.isscalar(t) else out
-
-
-def _check_outside_support(model, E):
-    if isinstance(model, OhmicFamilySpectrum):
-        # E = 0 is admitted: J vanishes at the origin fast enough for the
-        # level-shift integrand to stay integrable, and the bound-mode
-        # criterion is evaluated exactly there
-        if E > 0:
-            raise SupportError(f"E={E} lies inside the Ohmic-family support [0, inf)")
-        return
-    if model.sites is None:
-        lo, hi = model.band
-    else:
-        eps = model.mode_energies()
-        lo, hi = eps.min(), eps.max()
-    if lo <= E <= hi:
-        raise SupportError(f"E={E} lies inside the spectral support [{lo}, {hi}]")
 
 
 # x = -E/omega_c above which the continued fraction replaces the series
@@ -281,8 +270,12 @@ def level_shift_integral(model, E, order=1):
         raise ValueError("order must be 1 or 2")
     if not math.isfinite(E):
         raise ValueError(f"E must be finite, got {E}")
-    _check_outside_support(model, E)
     if isinstance(model, OhmicFamilySpectrum):
+        # E = 0 is admitted: J vanishes at the origin fast enough for the
+        # level-shift integrand to stay integrable, and the bound-mode
+        # criterion is evaluated exactly there
+        if E > 0:
+            raise SupportError(f"E={E} lies inside the Ohmic-family support [0, inf)")
         # Python floats: the loops below run several times faster than on numpy scalars
         n, omega_c = float(model.n), float(model.omega_c)
         x = -float(E) / omega_c
@@ -302,8 +295,11 @@ def level_shift_integral(model, E, order=1):
                 f"(n={n}, omega_c={omega_c}, omega_ref={model.omega_ref})"
             )
         return value
-    if model.sites is not None:
-        eps = model.mode_energies()
+    eps = None if model.sites is None else model.mode_energies()
+    lo, hi = model.band if eps is None else (eps.min(), eps.max())
+    if lo <= E <= hi:
+        raise SupportError(f"E={E} lies inside the spectral support [{lo}, {hi}]")
+    if eps is not None:
         return float(model.g**2 / model.sites * np.sum((eps - E) ** (-float(order))))
     a = model.omega_C - E
     root = math.sqrt(a * a - 4 * model.xi**2)

@@ -156,6 +156,12 @@ class TestMemoryKernel:
         with pytest.raises(ValueError):
             memory_kernel(OHMIC, -1.0)
 
+    def test_overflowing_exponent_is_a_value_error(self):
+        # Gamma(n+1) overflows above n = 170.6
+        model = OhmicFamilySpectrum(eta=1.0, n=171, omega_c=1.0, omega_ref=1.0)
+        with pytest.raises(ValueError, match="n=171"):
+            memory_kernel(model, 0.0)
+
 
 class TestLevelShift:
     def test_ohmic_at_zero_matches_criterion_form(self):

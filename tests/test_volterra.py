@@ -103,6 +103,32 @@ class TestSolver:
             direct = direct_heun_volterra(kernel, t_max / M)
             assert np.abs(fast - direct).max() < 1e-13, M
 
+    def test_production_size_matches_direct_loop(self):
+        # the depth the dressed eta = 1 Ohmic solve refines to in practice
+        M, t_max = 20000, 50.0
+        kernel = dressed(ohmic(1.0), 1.0)(np.linspace(0.0, t_max, M + 1))
+        fast = _heun_volterra(kernel, t_max / M)
+        assert np.abs(fast - direct_heun_volterra(kernel, t_max / M)).max() < 1e-13
+
+    @pytest.mark.parametrize("k0_h2", [0.5, 1.0, 2.0])
+    def test_stiff_kernel_matches_direct_loop(self, k0_h2):
+        # k0 h^2 of order one puts the leaf system's alpha and beta far from 1
+        h = 0.1
+        for M in (65, 129, 1000, 4097):
+            kernel = np.full(M + 1, k0_h2 / h**2, dtype=complex)
+            fast = _heun_volterra(kernel, h)
+            assert np.abs(fast - direct_heun_volterra(kernel, h)).max() < 1e-13, M
+
+    def test_long_double_is_extended_precision(self):
+        # a platform precondition, not a fallback: the leaf blocks solve
+        # their Toeplitz systems in np.clongdouble
+        eps = np.finfo(np.longdouble).eps
+        assert eps <= 1.1e-19, (
+            "the Volterra leaf solve needs an 80-bit or wider long double: in "
+            "float64 it drifts from the direct Heun loop by about 7e-13 at "
+            f"M = 20000; this platform's np.longdouble has eps {eps}"
+        )
+
     def test_solve_leaves_no_reference_cycles(self):
         # a solve must free its arrays by reference counting alone
         gc.collect()
