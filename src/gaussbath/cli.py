@@ -8,6 +8,7 @@ import argparse
 import sys
 
 from .scenario import (
+    _PARSERS,
     FIGURES,
     ConfigError,
     parse_config,
@@ -20,25 +21,6 @@ from .scenario import (
 )
 from .volterra import ConvergenceError
 
-_FLAG_TO_KEY = {
-    "model": "model",
-    "eta": "eta",
-    "n": "n",
-    "omega_c": "omega_c",
-    "omega_ref": "omega_ref",
-    "g": "g",
-    "xi": "xi",
-    "omega_cavity": "omega_C",
-    "sites": "N",
-    "omega0": "omega0",
-    "r": "r",
-    "tmax": "t_max",
-    "steps": "steps",
-    "tol": "tol",
-    "topology": "topology",
-}
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(prog="gaussbath")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -50,38 +32,41 @@ def _build_parser():
         ("reproduce", "emit the data behind a published figure"),
     ):
         p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--model", choices=("ohmic", "array"))
-        p.add_argument("--eta", type=float)
-        p.add_argument("--n", type=float)
-        p.add_argument("--omega-c", dest="omega_c", type=float)
-        p.add_argument("--omega-ref", dest="omega_ref", type=float)
-        p.add_argument("--g", type=float)
-        p.add_argument("--xi", type=float)
-        p.add_argument("--omega-cavity", dest="omega_cavity", type=float)
-        p.add_argument("--sites", help="array site count, or 'continuum'")
-        p.add_argument("--omega0", type=float)
-        p.add_argument("--r", type=float)
-        p.add_argument("--tmax", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--topology", choices=("ring", "open"))
-        p.add_argument("--out", help="output CSV path (default: <command>.csv)")
         if name == "reproduce":
-            p.add_argument("--figure", choices=FIGURES)
+            p.add_argument("--figure", choices=FIGURES, required=True)
+        else:
+            # each flag's dest is its config key
+            p.add_argument("--config", help="key=value config file")
+            p.add_argument("--model", choices=("ohmic", "array"))
+            p.add_argument("--eta", type=float)
+            p.add_argument("--n", type=float)
+            p.add_argument("--omega-c", dest="omega_c", type=float)
+            p.add_argument("--omega-ref", dest="omega_ref", type=float)
+            p.add_argument("--g", type=float)
+            p.add_argument("--xi", type=float)
+            p.add_argument("--omega-cavity", dest="omega_C", type=float)
+            p.add_argument("--sites", dest="N", help="array site count, or 'continuum'")
+            p.add_argument("--omega0", type=float)
+            p.add_argument("--r", type=float)
+            p.add_argument("--tmax", dest="t_max", type=float)
+            p.add_argument("--steps", type=int)
+            p.add_argument("--tol", type=float)
+            p.add_argument("--topology")
+        p.add_argument("--out", help="output CSV path (default: <command>.csv)")
     return parser
 
 
 def _load_config(args):
     text = ""
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
-    overrides = {}
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            message = f"cannot read config {args.config!r}: {exc.strerror or exc}"
+            raise ConfigError([message]) from None
+    values = {key: getattr(args, key, None) for key in _PARSERS}
+    overrides = {key: value for key, value in values.items() if value is not None}
     return parse_config(text, overrides=overrides)
 
 
@@ -90,9 +75,6 @@ def main(argv=None):
     out = args.out or f"{args.command}.csv"
     try:
         if args.command == "reproduce":
-            if not args.figure:
-                print("reproduce requires --figure", file=sys.stderr)
-                return 2
             written = reproduce(args.figure, out)
             for path in written:
                 print(path)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._ranges import check
+
 VACUUM_EPS = 1e-12  # I2 - 1 below this means mode 2 is vacuum: product state
 F_DOMAIN_TOL = 1e-6
 AMPLITUDE_TOL = 1e-8
@@ -89,14 +91,9 @@ def entropy_f(x):
     return float(out) if np.isscalar(x) else out
 
 
-def _check_squeezing(r):
-    if not (np.isfinite(r) and r >= 0):
-        raise ValueError(f"squeezing parameter r must be finite and >= 0, got {r}")
-
-
 def evolved_coefficients(u, r):
     """Kernel coefficients (a, b, c) of the evolved two-mode state."""
-    _check_squeezing(r)
+    check(r=r)
     mod = abs(u)
     if mod > 1.0 + AMPLITUDE_TOL:
         raise PhysicalityError(f"|u| = {mod} exceeds 1 beyond tolerance")
@@ -258,7 +255,7 @@ def measures_from_amplitude(u, r):
     reproduces entrywise.  Negative discord roundoff is clamped to zero.
     Returns a dict of arrays keyed like the CSV columns.
     """
-    _check_squeezing(r)
+    check(r=r)
     u = np.asarray(u, dtype=complex)
     U = np.abs(u) ** 2
     sh, ch = np.sinh(r), np.cosh(r)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._ranges import check
 from .spectra import CavityArraySpectrum
 from .volterra import AmplitudeTrajectory, SystemMode, TimeGrid
 
@@ -33,8 +34,7 @@ def build_chain(bath, mode, topology="ring"):
     ``ring`` closes the array with an extra xi bond, matching the uniform
     g/sqrt(N) momentum-space coupling assumed by the finite-N memory kernel.
     """
-    if topology not in ("ring", "open"):
-        raise ValueError("topology must be 'ring' or 'open'")
+    check(topology=topology)
     if bath.sites is None:
         raise ValueError("the lattice oracle needs a finite site count")
     N = bath.sites

@@ -18,11 +18,12 @@ Every kernel and level shift is a closed form or an exact finite sum.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc, j0, zeta
+
+from ._ranges import check
 
 
 class SupportError(ValueError):
@@ -39,16 +40,7 @@ class OhmicFamilySpectrum:
     omega_ref: float
 
     def __post_init__(self):
-        # eta = 0 (decoupled limit) is admitted: the dynamics and CLI
-        # contracts exercise free evolution through it
-        if not 0 <= self.eta < math.inf:
-            raise ValueError("eta must be finite and >= 0")
-        if not 0 < self.n < math.inf:
-            raise ValueError("n must be finite and > 0")
-        if not 0 < self.omega_c < math.inf:
-            raise ValueError("omega_c must be finite and > 0")
-        if not 0 < self.omega_ref < math.inf:
-            raise ValueError("omega_ref must be finite and > 0")
+        check(eta=self.eta, n=self.n, omega_c=self.omega_c, omega_ref=self.omega_ref)
 
 
 @dataclass(frozen=True)
@@ -61,20 +53,7 @@ class CavityArraySpectrum:
     sites: int | None = None
 
     def __post_init__(self):
-        if not 0 <= self.g < math.inf:
-            raise ValueError("g must be finite and >= 0")
-        if not 0 < self.xi < math.inf:
-            raise ValueError("xi must be finite and > 0")
-        if not 2 * self.xi < self.omega_C < math.inf:
-            raise ValueError(
-                "omega_C must be finite and exceed 2*xi (band bottom must stay positive)"
-            )
-        if self.sites is not None and (
-            isinstance(self.sites, bool)
-            or not isinstance(self.sites, numbers.Integral)
-            or self.sites < 1
-        ):
-            raise ValueError("sites must be a positive integer or None for the continuum")
+        check(g=self.g, xi=self.xi, omega_C=self.omega_C, N=self.sites)
 
     @property
     def band(self):

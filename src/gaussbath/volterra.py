@@ -34,11 +34,11 @@ Gamma + i*Omega = -u'(t)/u(t), estimated by finite differences.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._ranges import check
 from .spectra import evaluate_density, memory_kernel
 
 VALIDITY_FLOOR = 1e-8  # |u|^2 below this makes -u'/u numerically meaningless
@@ -60,8 +60,7 @@ class SystemMode:
     omega0: float
 
     def __post_init__(self):
-        if not 0 < self.omega0 < math.inf:
-            raise ValueError("omega0 must be finite and > 0")
+        check(omega0=self.omega0)
 
 
 @dataclass(frozen=True)
@@ -70,14 +69,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (self.t_max > 0 and math.isfinite(self.t_max)):
-            raise ValueError("t_max must be finite and > 0")
-        if (
-            isinstance(self.steps, bool)
-            or not isinstance(self.steps, numbers.Integral)
-            or self.steps < 2
-        ):
-            raise ValueError("steps must be an integer >= 2")
+        check(t_max=self.t_max, steps=self.steps)
 
     @property
     def dt(self):
@@ -226,8 +218,7 @@ def solve_amplitude(model, mode, grid, tol=1e-5, max_refinements=8):
     requested grid drops below ``tol``; the finest solution is reported,
     restricted to the requested grid.
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    check(tol=tol)
     coarse = _integrate(model, mode, grid.t_max, grid.steps)
     err = np.inf
     for k in range(1, max_refinements + 1):

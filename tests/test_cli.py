@@ -389,6 +389,32 @@ class TestCliEndToEnd:
             main(["reproduce", "--figure", "fig9z"])
         assert exc.value.code == 2
 
+    def test_modes_at_zero_coupling(self, tmp_path):
+        # the closed-form criterion needs eta > 0, so its margin line is left out
+        out = tmp_path / "modes.csv"
+        assert main(["modes", "--eta", "0", "--n", "3", "--omega-c", "1", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "# exists=false" in text
+        assert "superohmic_margin" not in text
+
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        out = tmp_path / "solve.csv"
+        assert main(["solve", "--config", str(missing), "--out", str(out)]) == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("config error: ") and str(missing) in err_lines[0]
+        assert not out.exists()
+
+    def test_reproduce_takes_no_model_flags(self, tmp_path):
+        for extra in (["--eta", "5"], ["--config", str(tmp_path / "none.cfg")]):
+            with pytest.raises(SystemExit) as exc:
+                main(["reproduce", "--figure", "fig4a", *extra])
+            assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
 
 class TestReproduce:
     def test_canned_configs_match_caption_values(self):
