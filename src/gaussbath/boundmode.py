@@ -11,14 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .spectra import CavityArraySpectrum, OhmicFamilySpectrum, level_shift_integral
+from ._ranges import check
+from .spectra import OhmicFamilySpectrum, level_shift_integral
 
 ROOT_RTOL = 1e-12
 BRACKET_SPAN_LIMIT = 1e6
 
 
 class BracketError(RuntimeError):
-    """Geometric bracket expansion found no sign change (solver bug guard)."""
+    """The bracket walk found no sign change of y(E) - E on one side of the
+    support: the normal signal that no root lies there."""
 
 
 @dataclass(frozen=True)
@@ -39,37 +41,21 @@ def _residue(model, E_b):
     return 1.0 / (1.0 + level_shift_integral(model, E_b, order=2))
 
 
-def _bracket_below(h, edge, unit):
-    """Expand geometrically below ``edge`` until h changes sign."""
-    hi = edge
-    f_hi = h(hi)
+def _bracket(h, edge, unit):
+    """Expand geometrically away from ``edge`` until h changes sign: below
+    it for unit < 0, above it for unit > 0.  Returns (lo, hi), lo <= hi."""
+    near, f_near = edge, h(edge)
     span = 0.5 * unit
-    while span < BRACKET_SPAN_LIMIT * unit:
-        lo = edge - span
-        f_lo = h(lo)
-        if f_lo == 0.0:
-            return lo, lo
-        if np.sign(f_lo) != np.sign(f_hi):
-            return lo, hi
-        hi, f_hi = lo, f_lo
+    while abs(span) < BRACKET_SPAN_LIMIT * abs(unit):
+        far = edge + span
+        f_far = h(far)
+        if f_far == 0.0:
+            return far, far
+        if np.sign(f_far) != np.sign(f_near):
+            return (far, near) if unit < 0 else (near, far)
+        near, f_near = far, f_far
         span *= 2
-    raise BracketError(f"no sign change within {BRACKET_SPAN_LIMIT} frequency units below {edge}")
-
-
-def _bracket_above(h, edge, unit):
-    lo = edge
-    f_lo = h(lo)
-    span = 0.5 * unit
-    while span < BRACKET_SPAN_LIMIT * unit:
-        hi = edge + span
-        f_hi = h(hi)
-        if f_hi == 0.0:
-            return hi, hi
-        if np.sign(f_lo) != np.sign(f_hi):
-            return lo, hi
-        lo, f_lo = hi, f_hi
-        span *= 2
-    raise BracketError(f"no sign change within {BRACKET_SPAN_LIMIT} frequency units above {edge}")
+    raise BracketError(f"no sign change within {BRACKET_SPAN_LIMIT} * {unit} of {edge}")
 
 
 def _solve_root(h, lo, hi):
@@ -82,34 +68,22 @@ def find_bound_mode(model, mode):
     """Locate every discrete root of y(E) = E outside the spectral support.
 
     Ohmic family: at most one root, on the negative axis, existing iff
-    y(0) < 0.  Array: both sides of the band are searched; when several
+    y(0) < 0.  Array: both sides of the support are searched; when several
     roots exist the one with the largest residue is designated primary.
     """
     h = lambda E: spectral_function_y(model, mode, E) - E
+    # each walk starts at edge and heads the way its unit points
     if isinstance(model, OhmicFamilySpectrum):
-        if h(0.0) >= 0.0:
-            return BoundMode(exists=False)
-        lo, hi = _bracket_below(h, 0.0, model.omega_c)
-        E_b = _solve_root(h, lo, hi)
-        Z = _residue(model, E_b)
-        return BoundMode(exists=True, E_b=E_b, Z=Z, roots=((E_b, Z),))
-
-    band_lo, band_hi = model.band
-    if model.sites is not None:
-        eps = model.mode_energies()
-        band_lo, band_hi = float(eps.min()), float(eps.max())
-    unit = model.omega_C
+        starts = [(0.0, -model.omega_c)] if h(0.0) < 0.0 else []
+    else:
+        # just outside the support the level-shift integral diverges, so h
+        # has a definite sign there; start the walks a relative hair away
+        unit, (lo, hi) = model.omega_C, model.support
+        starts = [(lo - max(abs(lo), unit) * 1e-13, -unit), (hi + max(abs(hi), unit) * 1e-13, unit)]
     roots = []
-    # just outside the band edge the level-shift integral diverges, so h has
-    # a definite sign there; start the brackets a relative hair away
-    step_lo = max(abs(band_lo), unit) * 1e-13
-    step_hi = max(abs(band_hi), unit) * 1e-13
-    for search in (
-        lambda: _solve_root(h, *_bracket_below(h, band_lo - step_lo, unit)),
-        lambda: _solve_root(h, *_bracket_above(h, band_hi + step_hi, unit)),
-    ):
+    for edge, unit in starts:
         try:
-            E_b = search()
+            E_b = _solve_root(h, *_bracket(h, edge, unit))
         except BracketError:
             continue
         roots.append((float(E_b), _residue(model, E_b)))
@@ -121,10 +95,11 @@ def find_bound_mode(model, mode):
 
 
 def superohmic_criterion(eta, omega_c, omega0):
-    """Closed-form n = 3 existence test: a bound mode forms iff
-    omega0 - 2*eta*omega_c^3/omega0^2 < 0.  Returns (exists, margin)."""
-    if eta <= 0 or omega_c <= 0 or omega0 <= 0:
-        raise ValueError("eta, omega_c and omega0 must be > 0")
+    """Closed-form n = 3 existence test at omega_ref = omega0: a bound mode
+    forms iff omega0 - 2*eta*omega_c^3/omega0^2 < 0.  Returns (exists, margin)."""
+    check(eta=eta, omega_c=omega_c, omega0=omega0)
+    if eta == 0:
+        raise ValueError("the n = 3 criterion needs eta > 0, got 0")
     margin = omega0 - 2.0 * eta * omega_c**3 / omega0**2
     return margin < 0.0, margin
 

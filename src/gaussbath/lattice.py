@@ -68,14 +68,19 @@ def exact_amplitude(chain, grid):
     return AmplitudeTrajectory(grid=grid, u=u, dt_used=grid.dt, error_estimate=0.0)
 
 
-def discrete_bound_modes(chain, margin=1e-9):
-    """Eigenpairs outside the array band [omega_C - 2xi, omega_C + 2xi].
+EDGE_MARGIN = 1e-9
+
+
+def discrete_bound_modes(chain):
+    """Eigenpairs outside the spectrum of the bare array block H[1:, 1:].
 
     Returns (eigenvalue, weight) pairs with weight the squared eigenvector
-    component on the system site; empty when no eigenvalue clears the band
-    edges by more than ``margin``.
+    component on the system site; empty when no eigenvalue clears the
+    block's extreme eigenvalues by more than ``EDGE_MARGIN``.  Those are the
+    exact edges for either topology, inside the band for an open chain or
+    an odd ring.
     """
     lam, weights = _spectral_data(chain)
-    lo, hi = chain.bath.band
-    outside = (lam < lo - margin) | (lam > hi + margin)
+    block = np.linalg.eigvalsh(chain.H[1:, 1:])
+    outside = (lam < block[0] - EDGE_MARGIN) | (lam > block[-1] + EDGE_MARGIN)
     return [(float(l), float(w)) for l, w in zip(lam[outside], weights[outside])]

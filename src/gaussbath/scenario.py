@@ -346,8 +346,9 @@ def _mode_summary_lines(cfg, model, mode):
         if len(bm.roots) > 1:
             roots = ";".join(f"{_fmt(E)}:{_fmt(Z)}" for E, Z in bm.roots)
             lines.append(f"# roots={roots}")
-    # the closed-form criterion needs eta > 0; at eta = 0 no mode forms
-    if isinstance(model, OhmicFamilySpectrum) and model.n == 3 and model.eta > 0:
+    # the closed-form criterion needs eta > 0 and omega_ref = omega0
+    ohmic = isinstance(model, OhmicFamilySpectrum)
+    if ohmic and model.n == 3 and model.eta > 0 and model.omega_ref == mode.omega0:
         _, margin = superohmic_criterion(model.eta, model.omega_c, mode.omega0)
         lines.append(f"# superohmic_margin={_fmt(margin)}")
     if isinstance(model, CavityArraySpectrum) and model.sites is not None:
@@ -358,20 +359,19 @@ def _mode_summary_lines(cfg, model, mode):
     return lines
 
 
-def _mode_sample_energies(model, samples=150):
+_MODE_SAMPLES = 150  # y(E) samples per side of an array's support; 2n + 1 on E <= 0
+
+
+def _mode_sample_energies(model):
     if isinstance(model, OhmicFamilySpectrum):
         span = 3.0 * max(model.omega_c, 1.0)
-        return [np.linspace(-span, 0.0, 2 * samples + 1)]
-    if model.sites is not None:
-        eps = model.mode_energies()
-        lo, hi = float(eps.min()), float(eps.max())
-    else:
-        lo, hi = model.band
+        return [np.linspace(-span, 0.0, 2 * _MODE_SAMPLES + 1)]
+    lo, hi = model.support
     width = 6.0 * model.xi
     gap = 1e-9 * model.omega_C
     return [
-        np.linspace(lo - width, lo - gap, samples),
-        np.linspace(hi + gap, hi + width, samples),
+        np.linspace(lo - width, lo - gap, _MODE_SAMPLES),
+        np.linspace(hi + gap, hi + width, _MODE_SAMPLES),
     ]
 
 

@@ -6,8 +6,9 @@ Two reservoir families are supported:
   on w >= 0, covering sub-Ohmic (n < 1), Ohmic (n = 1) and super-Ohmic (n > 1)
   couplings.
 * ``CavityArraySpectrum`` -- a tight-binding band of cavities with dispersion
-  eps_k = omega_C + 2*xi*cos(k), giving support [omega_C - 2*xi, omega_C + 2*xi].
-  Either a finite ring of N sites or the N -> infinity continuum.
+  eps_k = omega_C + 2*xi*cos(k) and band [omega_C - 2*xi, omega_C + 2*xi].
+  Either the N -> infinity continuum, supported on the band, or a finite ring
+  of N sites, supported on [min eps_m, max eps_m] (``support``).
 
 The memory kernel is f(t) = int J(w) exp(-i w t) dw and the level-shift
 integrals int J(w)/(w - E)**order dw feed the bound-mode analysis.  A finite
@@ -19,6 +20,7 @@ Every kernel and level shift is a closed form or an exact finite sum.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaincc, j0, zeta
@@ -59,19 +61,34 @@ class CavityArraySpectrum:
     def band(self):
         return self.omega_C - 2 * self.xi, self.omega_C + 2 * self.xi
 
+    @cached_property
+    def support(self):
+        """The band, or a ring's extreme mode energies (inside the band for odd N)."""
+        if self.sites is None:
+            return self.band
+        eps = self.mode_energies()
+        return float(eps.min()), float(eps.max())
+
     def mode_energies(self):
-        """Ring momenta k_m = 2*pi*m/N give eps_m = omega_C + 2*xi*cos(k_m)."""
+        """Ring momenta k_m = 2*pi*m/N give eps_m = omega_C + 2*xi*cos(k_m), cached read-only."""
         if self.sites is None:
             raise ValueError("mode_energies requires a finite site count")
+        return self._mode_energies
+
+    @cached_property
+    def _mode_energies(self):
         k = 2 * np.pi * np.arange(self.sites) / self.sites
-        return self.omega_C + 2 * self.xi * np.cos(k)
+        eps = self.omega_C + 2 * self.xi * np.cos(k)
+        eps.flags.writeable = False
+        return eps
 
 
 SpectralModel = OhmicFamilySpectrum | CavityArraySpectrum
 
 
 def evaluate_density(model, omega):
-    """Spectral density J(omega); zero outside the support."""
+    """Spectral density J(omega): zero outside the array band (a finite ring
+    gives the continuum value); the Ohmic family raises ValueError for omega < 0."""
     if isinstance(model, OhmicFamilySpectrum):
         w = np.asarray(omega, dtype=float)
         if np.any(w < 0):
@@ -274,11 +291,11 @@ def level_shift_integral(model, E, order=1):
                 f"(n={n}, omega_c={omega_c}, omega_ref={model.omega_ref})"
             )
         return value
-    eps = None if model.sites is None else model.mode_energies()
-    lo, hi = model.band if eps is None else (eps.min(), eps.max())
+    lo, hi = model.support
     if lo <= E <= hi:
         raise SupportError(f"E={E} lies inside the spectral support [{lo}, {hi}]")
-    if eps is not None:
+    if model.sites is not None:
+        eps = model.mode_energies()
         return float(model.g**2 / model.sites * np.sum((eps - E) ** (-float(order))))
     a = model.omega_C - E
     root = math.sqrt(a * a - 4 * model.xi**2)

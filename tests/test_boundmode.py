@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from gaussbath import (
+    BoundMode,
     CavityArraySpectrum,
     OhmicFamilySpectrum,
     SystemMode,
@@ -90,6 +91,14 @@ class TestFindBoundMode:
         assert bm.exists
         assert bm.Z**2 < 0.5  # no visible freezing for this detuning
 
+    def test_exact_ohmic_threshold_has_no_mode(self):
+        # y(0) = omega0 - eta Gamma(n) omega_c^n = 0 exactly; a walk that took
+        # h(edge) = 0 for a sign change would return E_b = 0, where the n <= 1
+        # order-2 shift diverges
+        model = OhmicFamilySpectrum(eta=0.5, n=1, omega_c=1.0, omega_ref=1.0)
+        assert spectral_function_y(model, SystemMode(0.5), 0.0) == 0.0
+        assert find_bound_mode(model, SystemMode(0.5)) == BoundMode(exists=False)
+
     def test_finite_lattice_roots_stay_outside_mode_range(self):
         spec = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
         eps = spec.mode_energies()
@@ -146,6 +155,14 @@ class TestSuperohmicCriterion:
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(ValueError):
             superohmic_criterion(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf), (1.0, math.nan, 1.0)],
+    )
+    def test_rejects_nonfinite_arguments(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            superohmic_criterion(*args)
 
 
 class TestSteadyStateAmplitude:

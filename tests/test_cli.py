@@ -397,6 +397,16 @@ class TestCliEndToEnd:
         assert "# exists=false" in text
         assert "superohmic_margin" not in text
 
+    def test_modes_margin_line_needs_omega_ref_equal_omega0(self, tmp_path):
+        # the n = 3 margin assumes omega_ref = omega0; at omega_ref = 2 it
+        # would read -1.0 beside exists=false
+        out = tmp_path / "modes.csv"
+        assert main(["modes", "--eta", "1", "--n", "3", "--omega-c", "1",
+                     "--omega-ref", "2", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "# exists=false" in text
+        assert "superohmic_margin" not in text
+
     def test_unreadable_config_is_a_config_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         out = tmp_path / "solve.csv"

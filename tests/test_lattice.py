@@ -96,6 +96,19 @@ class TestDiscreteBoundModes:
         assert abs(dominant[0] - bm.E_b) <= 1e-3
         assert abs(dominant[1] - bm.Z) <= 5e-3
 
+    def test_odd_ring_matches_root_finder_on_both_roots(self):
+        # an odd ring's lowest mode, 0.909903, lies above the band edge 0.9;
+        # the bound state at 0.907066 sits between the two
+        spec = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=7)
+        mode = SystemMode(0.95)
+        modes = discrete_bound_modes(build_chain(spec, mode))
+        bm = find_bound_mode(spec, mode)
+        assert len(bm.roots) == len(modes) == 2
+        for (E, Z), (E_lat, w_lat) in zip(sorted(bm.roots), sorted(modes)):
+            assert abs(E - E_lat) <= 1e-9
+            assert abs(Z - w_lat) <= 1e-7
+        assert sorted(modes)[0][0] == pytest.approx(0.907066, abs=1e-6)
+
     def test_mid_band_has_no_dominant_mode(self):
         chain = build_chain(SPEC_200, SystemMode(1.0))
         modes = discrete_bound_modes(chain)

@@ -163,6 +163,25 @@ class TestMemoryKernel:
             memory_kernel(model, 0.0)
 
 
+class TestSupport:
+    def test_continuum_support_is_the_band(self):
+        assert ARRAY_CONT.support == ARRAY_CONT.band == (0.9, 1.1)
+
+    def test_odd_ring_support_is_its_extreme_mode_energies(self):
+        ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=7)
+        eps = ring.mode_energies()
+        assert ring.support == (eps.min(), eps.max())
+        assert ring.support[0] > ring.band[0] + 1e-3
+        # the lower band edge lies outside an odd ring's support
+        assert level_shift_integral(ring, 0.905, 1) > 0
+
+    def test_mode_energies_built_once_and_read_only(self):
+        ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=7)
+        assert ring.mode_energies() is ring.mode_energies()
+        with pytest.raises(ValueError):
+            ring.mode_energies()[0] = 0.0
+
+
 class TestLevelShift:
     def test_ohmic_at_zero_matches_criterion_form(self):
         # int J/w dw = 2 eta wc^3 / wref^2 at n = 3
