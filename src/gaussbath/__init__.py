@@ -9,7 +9,6 @@ of an initially two-mode squeezed state.
 
 from .boundmode import (
     BoundMode,
-    BracketError,
     find_bound_mode,
     spectral_function_y,
     steady_state_amplitude,

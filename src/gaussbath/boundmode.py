@@ -9,18 +9,11 @@ so |u(t -> inf)|^2 -> Z^2: a bound mode freezes the late-time decoherence.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._ranges import check
 from .spectra import OhmicFamilySpectrum, level_shift_integral
 
 ROOT_RTOL = 1e-12
-BRACKET_SPAN_LIMIT = 1e6
-
-
-class BracketError(RuntimeError):
-    """The bracket walk found no sign change of y(E) - E on one side of the
-    support: the normal signal that no root lies there."""
 
 
 @dataclass(frozen=True)
@@ -41,12 +34,13 @@ def _residue(model, E_b):
     return 1.0 / (1.0 + level_shift_integral(model, E_b, order=2))
 
 
-def _bracket(h, edge, unit):
-    """Expand geometrically away from ``edge`` until h changes sign: below
-    it for unit < 0, above it for unit > 0.  Returns (lo, hi), lo <= hi."""
-    near, f_near = edge, h(edge)
+def _bracket(h, edge, f_edge, unit):
+    """Expand geometrically away from ``edge``, where h = ``f_edge``, until h
+    changes sign: below it for unit < 0, above it for unit > 0.  Returns
+    (lo, hi), lo <= hi.  The caller starts only walks that must end."""
+    near, f_near = edge, f_edge
     span = 0.5 * unit
-    while abs(span) < BRACKET_SPAN_LIMIT * abs(unit):
+    while True:
         far = edge + span
         f_far = h(far)
         if f_far == 0.0:
@@ -55,12 +49,15 @@ def _bracket(h, edge, unit):
             return (far, near) if unit < 0 else (near, far)
         near, f_near = far, f_far
         span *= 2
-    raise BracketError(f"no sign change within {BRACKET_SPAN_LIMIT} * {unit} of {edge}")
 
 
 def _solve_root(h, lo, hi):
     if lo == hi:
         return lo
+    # imported on first use: no other part of gaussbath needs scipy.optimize,
+    # whose import costs more than a typical solve
+    from scipy.optimize import brentq
+
     return brentq(h, lo, hi, rtol=ROOT_RTOL, maxiter=200)
 
 
@@ -74,7 +71,7 @@ def find_bound_mode(model, mode):
     h = lambda E: spectral_function_y(model, mode, E) - E
     # each walk starts at edge and heads the way its unit points
     if isinstance(model, OhmicFamilySpectrum):
-        starts = [(0.0, -model.omega_c)] if h(0.0) < 0.0 else []
+        starts = [(0.0, -model.omega_c)]
     else:
         # just outside the support the level-shift integral diverges, so h
         # has a definite sign there; start the walks a relative hair away
@@ -82,11 +79,13 @@ def find_bound_mode(model, mode):
         starts = [(lo - max(abs(lo), unit) * 1e-13, -unit), (hi + max(abs(hi), unit) * 1e-13, unit)]
     roots = []
     for edge, unit in starts:
-        try:
-            E_b = _solve_root(h, *_bracket(h, edge, unit))
-        except BracketError:
-            continue
-        roots.append((float(E_b), _residue(model, E_b)))
+        # dh/dE = -1 - int J/(w - E)^2 < 0 outside the support, and h -> +inf
+        # far below it, -inf far above it: a side holds one root exactly
+        # when h at the walk's start has the sign of unit
+        f_edge = h(edge)
+        if f_edge * unit > 0:
+            E_b = _solve_root(h, *_bracket(h, edge, f_edge, unit))
+            roots.append((float(E_b), _residue(model, E_b)))
     if not roots:
         return BoundMode(exists=False)
     roots.sort(key=lambda item: -item[1])

@@ -3,13 +3,16 @@
 Configs are flat ``key=value`` text ('#' starts a comment, later keys
 override earlier ones, CLI flags override file values).  All outputs are
 plain CSV with a fixed column order and shortest round-trip float
-formatting, so identical configs reproduce byte-identical files.
+formatting, so identical configs reproduce byte-identical files.  Float
+columns are formatted in chunks of rows, one ``repr`` of a list per column
+and chunk, which writes every entry exactly as ``repr(float(x))`` would.
 """
 
 import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -26,7 +29,9 @@ SOLVE_COLUMNS_HEAD = (
     "I1", "I2", "I3", "I4", "nu_minus", "nu_plus",
 )
 NA = "NA"
-_CHUNK = 64  # rows turned into Python floats at a time when formatting
+# rows formatted at a time: bounds the Python floats and strings alive besides
+# the joined rows, so formatting memory does not grow with the table
+_CHUNK = 512
 
 OHMIC_KEYS = {"eta", "n", "omega_c", "omega_ref"}
 ARRAY_KEYS = {"g", "xi", "omega_C", "N"}
@@ -261,32 +266,34 @@ def _solve_header(cfg):
     return ",".join(SOLVE_COLUMNS_HEAD + tuple(cfg.outputs) + ("branch",))
 
 
-def _column(values):
-    """Shortest round-trip text of each entry of a float array.
-
-    Made lazily, a chunk of floats at a time, so that formatting a table
-    holds no more than one chunk of each column besides the joined rows.
-    """
-    for lo in range(0, len(values), _CHUNK):
-        yield from map(repr, values[lo : lo + _CHUNK].tolist())
-
-
-def _rate_column(values, valid):
-    return (text if ok else NA for text, ok in zip(_column(values), valid))
+def _text_chunks(arrays):
+    """Shortest round-trip text of equal-length float arrays, _CHUNK rows at
+    a time: yields (lo, texts), one list of strings per array for the rows
+    from lo on.  The repr of a list of floats writes each as repr(float), so
+    one repr and one split per array and chunk give the same strings."""
+    for lo in range(0, len(arrays[0]), _CHUNK):
+        yield lo, [repr(a[lo : lo + _CHUNK].tolist())[1:-1].split(", ") for a in arrays]
 
 
 def _trajectory_rows(cfg, traj):
     rates = decay_rates(traj)
     meas = measures_from_amplitude(traj.u, cfg.r)
     u = traj.u
-    columns = [
-        _column(traj.times), _column(u.real), _column(u.imag), _column(np.abs(u) ** 2),
-        _rate_column(rates.gamma, rates.valid), _rate_column(rates.omega_shift, rates.valid),
-        *(_column(meas[name]) for name in ("I1", "I2", "I3", "I4", "nu_minus", "nu_plus")),
-        *(_column(meas[name]) for name in cfg.outputs),
-        map(str, meas["branch"]),
-    ]
-    return [",".join(cells) for cells in zip(*columns)]
+    # measures_from_amplitude gives I2 = I1 and nu_plus = nu_minus on this
+    # state family, so each pair is formatted once and written twice
+    arrays = (
+        traj.times, u.real, u.imag, np.abs(u) ** 2, rates.gamma, rates.omega_shift,
+        meas["I1"], meas["I3"], meas["I4"], meas["nu_minus"], *(meas[name] for name in cfg.outputs),
+    )
+    rows = []
+    for lo, (t, re, im, abs2, gamma, shift, i1, i3, i4, nu, *outputs) in _text_chunks(arrays):
+        valid = rates.valid[lo : lo + _CHUNK].tolist()
+        gamma = [text if ok else NA for text, ok in zip(gamma, valid)]
+        shift = [text if ok else NA for text, ok in zip(shift, valid)]
+        branch = meas["branch"][lo : lo + _CHUNK].tolist()
+        cells = zip(t, re, im, abs2, gamma, shift, i1, i1, i3, i4, nu, nu, *outputs, branch)
+        rows.extend(map(",".join, cells))
+    return rows
 
 
 def run_scenario(cfg):
@@ -316,6 +323,7 @@ def run_sweep(cfg):
     header = "sweep_value,t,discord,u_abs2,log_neg"
     rows = []
     failures = []
+    times = None
     for value in cfg.sweep_values:
         point = dataclasses.replace(cfg, sweep=None, sweep_values=None, **{cfg.sweep: value})
         try:
@@ -326,13 +334,14 @@ def run_sweep(cfg):
             # recorded per point, partial results kept
             failures.append((value, str(exc)))
             continue
+        if times is None:
+            # grid keys cannot be swept: every point shares one time column
+            times = [t for _, (t,) in _text_chunks([traj.times])]
         meas = measures_from_amplitude(traj.u, point.r)
-        columns = (
-            _column(traj.times), _column(meas["discord"]),
-            _column(np.abs(traj.u) ** 2), _column(meas["log_neg"]),
-        )
-        prefix = _fmt(value) + ","
-        rows.extend(prefix + ",".join(cells) for cells in zip(*columns))
+        arrays = (meas["discord"], np.abs(traj.u) ** 2, meas["log_neg"])
+        tag = repeat(_fmt(value))
+        for (_, columns), t in zip(_text_chunks(arrays), times):
+            rows.extend(map(",".join, zip(tag, t, *columns)))
     return header, rows, failures
 
 

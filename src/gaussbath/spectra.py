@@ -16,14 +16,17 @@ ring's kernel is the N-term mode sum; inside the ring's light cone (before an
 excitation can travel round the ring) it equals the continuum closed form to
 below double rounding, so the continuum form is evaluated there instead.
 Every kernel and level shift is a closed form or an exact finite sum.
+
+scipy.special is imported inside the functions that call it (J0 for array
+kernels, zeta and the regularised upper incomplete gamma for some Ohmic
+level shifts), so an Ohmic solve never loads it.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import gammaincc, j0, zeta
 
 from ._ranges import check
 
@@ -157,6 +160,8 @@ def memory_kernel(model, t):
             ) from None
         out = amp / (1 + 1j * model.omega_c * ts) ** (model.n + 1)
     else:
+        from scipy.special import j0
+
         carrier = model.g**2 * np.exp(-1j * model.omega_C * ts)
         if model.sites is None or _ring_matches_continuum(model, ts.max(initial=0.0)):
             out = np.asarray(carrier * j0(2 * model.xi * ts), dtype=complex)
@@ -177,9 +182,16 @@ def memory_kernel(model, t):
 
 # x = -E/omega_c above which the continued fraction replaces the series
 _FRACTION_FROM = 2.0
-# ln Gamma(1 - nu) = euler*nu + sum_{k>=2} zeta(k) nu^k / k (DLMF §5.7), |nu| <= 1/2;
-# the coefficients run from the highest power down, for Horner's scheme
-_LNGAMMA_TAYLOR = tuple(float(zeta(k)) / k for k in range(63, 1, -1))
+
+
+@cache
+def _lngamma_taylor():
+    """ln Gamma(1 - nu) = euler*nu + sum_{k>=2} zeta(k) nu^k / k (DLMF §5.7),
+    |nu| <= 1/2; the coefficients run from the highest power down, for
+    Horner's scheme.  Built on first use: only non-integer n needs it."""
+    from scipy.special import zeta
+
+    return tuple(float(zeta(k)) / k for k in range(63, 1, -1))
 
 
 def _series_constants(n):
@@ -188,12 +200,13 @@ def _series_constants(n):
     Gamma(1 - nu) - 1."""
     m = round(n)
     nu = n - m
-    poly = 0.0
-    for coef in _LNGAMMA_TAYLOR:
-        poly = poly * nu + coef
     euler = float(np.euler_gamma)
-    c = math.expm1(nu * (euler + nu * poly)) / nu if nu else euler
-    return m, nu, c
+    if not nu:
+        return m, nu, euler
+    poly = 0.0
+    for coef in _lngamma_taylor():
+        poly = poly * nu + coef
+    return m, nu, math.expm1(nu * (euler + nu * poly)) / nu
 
 
 def _ohmic_shape(n, x, order):
@@ -242,6 +255,8 @@ def _ohmic_shape(n, x, order):
     if m == 0:
         if order == 1:
             return F
+        from scipy.special import gammaincc
+
         return math.exp(x) * x ** (nu - 1) * math.gamma(1 - nu) * float(gammaincc(1 - nu, x)) - F
     # Gamma(s-1, x) = (Gamma(s, x) - x^(s-1) e^(-x))/(s-1) (DLMF §8.8), taken
     # from s = -nu down to -n; step k scales the relative error by about

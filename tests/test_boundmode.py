@@ -106,6 +106,15 @@ class TestFindBoundMode:
         for E, _ in bm.roots:
             assert E < eps.min() or E > eps.max()
 
+    def test_zero_coupling_walks_only_towards_the_bare_level(self):
+        # h = omega0 - E: the start's sign rules out the side without a root,
+        # and a bare level inside the band has none at all
+        spec = CavityArraySpectrum(g=0.0, xi=0.05, omega_C=1.0)
+        for omega0 in (0.8, 1.2):
+            bm = find_bound_mode(spec, SystemMode(omega0))
+            assert bm.roots == ((pytest.approx(omega0, rel=1e-12), 1.0),)
+        assert not find_bound_mode(spec, SystemMode(1.0)).exists
+
 
 class TestSuperohmicCriterion:
     def test_eta_threshold(self):

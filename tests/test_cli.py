@@ -2,13 +2,40 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussbath import ConfigError, entropy_f, parse_config, serialize_config
+import gaussbath
+from gaussbath import (
+    CavityArraySpectrum,
+    ConfigError,
+    OhmicFamilySpectrum,
+    SystemMode,
+    decay_rates,
+    entropy_f,
+    measures_from_amplitude,
+    parse_config,
+    serialize_config,
+    solve_amplitude,
+    spectral_function_y,
+)
 from gaussbath.cli import main
-from gaussbath.scenario import run_modes, run_scenario, run_sweep
+from gaussbath.scenario import (
+    _CHUNK,
+    _text_chunks,
+    _trajectory_rows,
+    build_grid,
+    build_mode,
+    build_model,
+    run_modes,
+    run_scenario,
+    run_sweep,
+)
 
 OHMIC_TEXT = "eta=0.08\nn=3\nomega_c=1.0\nr=1.0\nt_max=50\nsteps=5000\n"
 ARRAY_TEXT = "g=0.02\nxi=0.05\nomega_C=1.0\nN=200\nomega0=0.8\n"
@@ -173,6 +200,47 @@ class TestSolveCsv:
         numeric = [row.split(",")[gi] for row in rows if row.split(",")[gi] != "NA"]
         assert numeric  # early samples are valid
         float(numeric[0])
+
+
+class TestCsvText:
+    def test_chunk_text_is_float_repr(self):
+        values = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1.0000000000000002,
+                  0.1, 1 / 3, 2 / 3, 123456789.01234567, -9.876543210987654e-300,
+                  math.pi, math.inf, -math.inf, math.nan]
+        (lo, (texts,)), = _text_chunks([np.array(values)])
+        assert lo == 0
+        assert texts == [repr(float(x)) for x in values]
+        assert texts[0] == "-0.0" and texts[2] == "5e-324" and texts[5] == "1e+16"
+        rng = np.random.default_rng(11)
+        for length in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
+            a = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)
+            b = rng.uniform(-1.0, 1.0, length)
+            chunks = list(_text_chunks([a, b]))
+            assert [lo for lo, _ in chunks] == list(range(0, length, _CHUNK))
+            for column, array in enumerate((a, b)):
+                cells = [text for _, texts in chunks for text in texts[column]]
+                assert cells == [repr(float(x)) for x in array]
+
+    def test_rows_match_per_cell_repr(self):
+        # 4601 rows: several full chunks and a partial one, with NA rates late on
+        cfg = parse_config("eta=0.08\nn=3\nomega_c=1.0\nr=1\nt_max=230\nsteps=4600\ntol=1e-3\n")
+        traj = solve_amplitude(build_model(cfg), build_mode(cfg), build_grid(cfg), tol=cfg.tol)
+        rows = _trajectory_rows(cfg, traj)
+        rates = decay_rates(traj)
+        meas = measures_from_amplitude(traj.u, cfg.r)
+        assert np.array_equal(meas["I2"], meas["I1"])
+        assert np.array_equal(meas["nu_plus"], meas["nu_minus"])
+        assert not rates.valid.all() and rates.valid.any()
+        columns = [traj.times, traj.u.real, traj.u.imag, np.abs(traj.u) ** 2,
+                   rates.gamma, rates.omega_shift,
+                   *(meas[name] for name in ("I1", "I2", "I3", "I4", "nu_minus", "nu_plus")),
+                   *(meas[name] for name in cfg.outputs)]
+        assert len(rows) == len(traj.times) > 2 * _CHUNK
+        for i, row in enumerate(rows):
+            cells = [repr(float(col[i])) for col in columns] + [str(meas["branch"][i])]
+            if not rates.valid[i]:
+                cells[4] = cells[5] = "NA"
+            assert row == ",".join(cells)
 
 
 class TestSweep:
@@ -397,6 +465,26 @@ class TestCliEndToEnd:
         assert "# exists=false" in text
         assert "superohmic_margin" not in text
 
+    @pytest.mark.parametrize("argv, model, omega0", [
+        (["--model", "array", "--g", "1e7", "--xi", "0.05", "--omega-cavity", "1",
+          "--sites", "continuum", "--omega0", "0.8"],
+         CavityArraySpectrum(g=1e7, xi=0.05, omega_C=1.0), 0.8),
+        (["--eta", "1e13", "--n", "1", "--omega-c", "1"],
+         OhmicFamilySpectrum(eta=1e13, n=1.0, omega_c=1.0, omega_ref=1.0), 1.0),
+    ])
+    def test_modes_finds_far_roots(self, tmp_path, argv, model, omega0):
+        # the roots lie near -1e7 and -3.2e6, millions of units from the support
+        out = tmp_path / "modes.csv"
+        assert main(["modes", *argv, "--out", str(out)]) == 0
+        summary = dict(line[2:].split("=", 1) for line in out.read_text().splitlines()
+                       if line.startswith("# "))
+        assert summary["exists"] == "true"
+        E_b = float(summary["E_b"])
+        assert E_b < -1e6
+        h = spectral_function_y(model, SystemMode(omega0), E_b) - E_b
+        assert abs(h) < 1e-9 * abs(E_b)
+        assert float(summary["Z2"]) == pytest.approx(0.25, rel=1e-6)
+
     def test_modes_margin_line_needs_omega_ref_equal_omega0(self, tmp_path):
         # the n = 3 margin assumes omega_ref = omega0; at omega_ref = 2 it
         # would read -1.0 beside exists=false
@@ -477,3 +565,30 @@ class TestReproduce:
                 z2[key] = float(line.split("Z2=")[1])
         assert z2["0.8"] > 0.5 and z2["0.85"] > 0.5
         assert z2["0.9"] < 0.5 and z2["0.95"] < 0.5
+
+
+STARTUP_CHECK = """
+import sys
+import gaussbath, gaussbath.cli
+print(gaussbath.__file__)
+loaded = lambda: sorted({"scipy.optimize", "scipy.special"} & set(sys.modules))
+print(loaded())
+assert gaussbath.cli.main(["solve", "--eta", "0.2", "--n", "3", "--omega-c", "1",
+                           "--tmax", "5", "--steps", "100", "--out", sys.argv[1]]) == 0
+print(loaded())
+"""
+
+
+def test_ohmic_solve_never_imports_scipy(tmp_path):
+    # importing scipy.optimize and scipy.special costs more than a small
+    # solve, so only the code paths that call them import them
+    src = str(Path(gaussbath.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "solve.csv"
+    done = subprocess.run([sys.executable, "-c", STARTUP_CHECK, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    child_file, after_import, _, after_solve = done.stdout.splitlines()  # main prints the path
+    assert Path(child_file).parent == Path(gaussbath.__file__).parent
+    assert after_import == "[]"
+    assert after_solve == "[]"
+    assert out.read_text().startswith("t,u_re,")
