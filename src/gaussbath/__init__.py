@@ -14,22 +14,7 @@ from .boundmode import (
     steady_state_amplitude,
     superohmic_criterion,
 )
-from .gaussian import (
-    CorrelationMeasures,
-    CovarianceMatrix4,
-    EvolvedStateCoefficients,
-    PhysicalityError,
-    SymplecticData,
-    correlation_measures,
-    covariance_from_amplitude,
-    entropy_f,
-    evolved_coefficients,
-    gaussian_discord,
-    log_negativity,
-    measures_from_amplitude,
-    mutual_and_classical,
-    symplectic_invariants,
-)
+from .gaussian import PhysicalityError, measures_from_amplitude
 from .lattice import SingleExcitationChain, build_chain, discrete_bound_modes, exact_amplitude
 from .scenario import ConfigError, ScenarioConfig, parse_config, serialize_config
 from .spectra import (

@@ -296,8 +296,18 @@ def _trajectory_rows(cfg, traj):
     return rows
 
 
+def _require_ring(cfg, command):
+    """The spectral models know only the ring: an open chain is the oracle's."""
+    if cfg.topology != "ring":
+        raise ConfigError([
+            f"{command} supports only topology=ring, got {cfg.topology!r}; "
+            "oracle is the only command that follows an open chain"
+        ])
+
+
 def run_scenario(cfg):
     """Solve one scenario; returns (header, row lines) for the solve CSV."""
+    _require_ring(cfg, "solve")
     traj = solve_amplitude(build_model(cfg), build_mode(cfg), build_grid(cfg), tol=cfg.tol)
     return _solve_header(cfg), _trajectory_rows(cfg, traj)
 
@@ -320,6 +330,7 @@ def run_sweep(cfg):
     """
     if cfg.sweep is None:
         raise ConfigError(["sweep requires a sweep parameter (sweep=...)"])
+    _require_ring(cfg, "sweep")
     header = "sweep_value,t,discord,u_abs2,log_neg"
     rows = []
     failures = []
@@ -330,6 +341,7 @@ def run_sweep(cfg):
             traj = solve_amplitude(
                 build_model(point), build_mode(point), build_grid(point), tol=point.tol
             )
+            meas = measures_from_amplitude(traj.u, point.r)
         except (ConvergenceError, PhysicalityError, ValueError) as exc:
             # recorded per point, partial results kept
             failures.append((value, str(exc)))
@@ -337,7 +349,6 @@ def run_sweep(cfg):
         if times is None:
             # grid keys cannot be swept: every point shares one time column
             times = [t for _, (t,) in _text_chunks([traj.times])]
-        meas = measures_from_amplitude(traj.u, point.r)
         arrays = (meas["discord"], np.abs(traj.u) ** 2, meas["log_neg"])
         tag = repeat(_fmt(value))
         for (_, columns), t in zip(_text_chunks(arrays), times):
@@ -345,7 +356,7 @@ def run_sweep(cfg):
     return header, rows, failures
 
 
-def _mode_summary_lines(cfg, model, mode):
+def _mode_summary_lines(model, mode):
     bm = find_bound_mode(model, mode)
     lines = [f"# exists={'true' if bm.exists else 'false'}"]
     if bm.exists:
@@ -361,7 +372,7 @@ def _mode_summary_lines(cfg, model, mode):
         _, margin = superohmic_criterion(model.eta, model.omega_c, mode.omega0)
         lines.append(f"# superohmic_margin={_fmt(margin)}")
     if isinstance(model, CavityArraySpectrum) and model.sites is not None:
-        chain = build_chain(model, mode, topology=cfg.topology)
+        chain = build_chain(model, mode)
         modes = discrete_bound_modes(chain)
         rendered = ";".join(f"{_fmt(E)}:{_fmt(w)}" for E, w in modes)
         lines.append(f"# lattice_modes={rendered}")
@@ -386,13 +397,14 @@ def _mode_sample_energies(model):
 
 def run_modes(cfg):
     """(E, y(E)) samples outside the support plus a bound-mode summary block."""
+    _require_ring(cfg, "modes")
     model = build_model(cfg)
     mode = build_mode(cfg)
     rows = []
     for grid in _mode_sample_energies(model):
         for E in grid:
             rows.append(f"{_fmt(E)},{_fmt(spectral_function_y(model, mode, E))}")
-    rows.extend(_mode_summary_lines(cfg, model, mode))
+    rows.extend(_mode_summary_lines(model, mode))
     return "E,y", rows
 
 

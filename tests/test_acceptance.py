@@ -12,7 +12,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import moment_covariance
+from conftest import (
+    covariance_from_amplitude,
+    entropy_f,
+    gaussian_discord,
+    moment_covariance,
+    symplectic_invariants,
+)
 
 from gaussbath import (
     CavityArraySpectrum,
@@ -21,14 +27,11 @@ from gaussbath import (
     TimeGrid,
     build_chain,
     decay_rates,
-    entropy_f,
     exact_amplitude,
     find_bound_mode,
     measures_from_amplitude,
     solve_amplitude,
-    symplectic_invariants,
 )
-from gaussbath.gaussian import covariance_from_amplitude, gaussian_discord
 from gaussbath.scenario import parse_config, run_scenario
 
 ARRAY = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)

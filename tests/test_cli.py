@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import entropy_f
 
 import gaussbath
 from gaussbath import (
@@ -17,7 +18,6 @@ from gaussbath import (
     OhmicFamilySpectrum,
     SystemMode,
     decay_rates,
-    entropy_f,
     measures_from_amplitude,
     parse_config,
     serialize_config,
@@ -39,6 +39,9 @@ from gaussbath.scenario import (
 
 OHMIC_TEXT = "eta=0.08\nn=3\nomega_c=1.0\nr=1.0\nt_max=50\nsteps=5000\n"
 ARRAY_TEXT = "g=0.02\nxi=0.05\nomega_C=1.0\nN=200\nomega0=0.8\n"
+OPEN_CHAIN_TEXT = (
+    "g=0.3\nxi=0.05\nomega_C=1.0\nN=8\nomega0=1.0\nt_max=5\nsteps=100\ntopology=open\n"
+)
 
 
 class TestParseConfig:
@@ -303,6 +306,25 @@ class TestSweep:
         assert len(failures) == 1
         assert failures[0][0] == 0.1
 
+    def test_overshooting_amplitude_is_a_failed_point(self, monkeypatch):
+        from gaussbath import scenario
+
+        solve = scenario.solve_amplitude
+
+        def overshooting(*args, **kwargs):
+            traj = solve(*args, **kwargs)
+            return dataclasses.replace(traj, u=traj.u * (1.0 + 1e-6))
+
+        monkeypatch.setattr(scenario, "solve_amplitude", overshooting)
+        cfg = parse_config(
+            "eta=0.1\nn=3\nomega_c=1.0\nt_max=5\nsteps=100\nsweep=eta\nsweep_values=0.1\n"
+        )
+        header, rows, failures = run_sweep(cfg)
+        assert rows == []
+        [(value, message)] = failures
+        assert value == 0.1
+        assert message.startswith("|u| = 1.000001") and "exceeds 1" in message
+
     def test_programming_error_propagates(self, monkeypatch):
         # only numerical and input failures become failed sweep points
         from gaussbath import scenario
@@ -443,6 +465,29 @@ class TestCliEndToEnd:
             "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "modes"])
+    def test_open_topology_is_a_config_error_outside_oracle(self, tmp_path, capsys, command):
+        # the spectral models know only the ring; an open chain would be
+        # solved as a ring without notice
+        config = tmp_path / "open.cfg"
+        config.write_text(OPEN_CHAIN_TEXT + "sweep=omega0\nsweep_values=1.0\n")
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {command} supports only topology=ring" in err
+        assert "oracle is the only command" in err
+        assert not out.exists()
+
+    def test_oracle_follows_open_topology(self, tmp_path):
+        config = tmp_path / "open.cfg"
+        config.write_text(OPEN_CHAIN_TEXT)
+        ring, open_ = tmp_path / "ring.csv", tmp_path / "open.csv"
+        assert main(["oracle", "--config", str(config), "--out", str(open_)]) == 0
+        assert main(["oracle", "--config", str(config), "--topology", "ring",
+                     "--out", str(ring)]) == 0
+        assert len(open_.read_text().splitlines()) == 102
+        assert open_.read_bytes() != ring.read_bytes()
 
     def test_modes_subcommand(self, tmp_path):
         out = tmp_path / "modes.csv"

@@ -2,24 +2,29 @@
 
 import numpy as np
 import pytest
-from conftest import brute_force_discord, moment_covariance, symplectic_eigs
-
-from gaussbath import (
+from conftest import (
     CovarianceMatrix4,
-    OhmicFamilySpectrum,
-    PhysicalityError,
-    SystemMode,
-    TimeGrid,
+    brute_force_discord,
     correlation_measures,
     covariance_from_amplitude,
     entropy_f,
     evolved_coefficients,
     gaussian_discord,
     log_negativity,
-    measures_from_amplitude,
+    moment_covariance,
     mutual_and_classical,
-    solve_amplitude,
+    symplectic_eigs,
     symplectic_invariants,
+    top_branch_m,
+)
+
+from gaussbath import (
+    OhmicFamilySpectrum,
+    PhysicalityError,
+    SystemMode,
+    TimeGrid,
+    measures_from_amplitude,
+    solve_amplitude,
 )
 
 SWAP = np.zeros((4, 4))
@@ -270,9 +275,11 @@ class TestPhysicalityGuards:
     @pytest.mark.xfail(
         strict=True,
         raises=PhysicalityError,
-        reason="m computed from generic invariants loses about 1e-7 absolute "
-        "accuracy when I2 - 1 is of that order, so this physical, nearly "
-        "decayed state gives a raw discord of -3.9e-9, below -DISCORD_CLAMP",
+        reason="the floor of the per-state oracle: m computed from generic "
+        "invariants loses about 1e-7 absolute accuracy when I2 - 1 is of that "
+        "order, so this physical, nearly decayed state gives a raw discord of "
+        "-3.9e-9, below -DISCORD_CLAMP (the closed forms of "
+        "measures_from_amplitude have no such floor)",
     )
     def test_nearly_decayed_state_is_physical(self):
         cov = covariance_from_amplitude(np.sqrt(1e-9), 1.0)
@@ -325,6 +332,74 @@ class TestVectorizedPath:
             assert meas["branch"][j] == cm.branch
             inv = symplectic_invariants(covariance_from_amplitude(u, r))
             assert meas["I4"][j] == pytest.approx(inv.I4, rel=1e-9)
+
+
+# (r, U, discord, mutual_info, log_neg) of the evolved state, evaluated from
+# the generic invariants in 60-digit arithmetic (mpmath), where nothing cancels
+MPMATH_MEASURES = [
+    (0.5, 1e-2, 0.00020268786644623426, 0.00040646370698793684, 0.0063412690029986508),
+    (0.5, 1e-4, 3.6299461583580846e-8, 7.2600894281886629e-8, 6.3214053849057717e-5),
+    (0.5, 1e-6, 5.2202542324322528e-12, 1.0440511299880002e-11, 6.3212075861684229e-7),
+    (0.5, 1e-8, 6.8103057748968373e-16, 1.3620611586779126e-15, 6.321205608264397e-9),
+    (1.0, 1e-2, 0.0013604980166996317, 0.0027577944976634001, 0.0086842463158624541),
+    (1.0, 1e-4, 2.9215417776179708e-7, 5.843890360929509e-7, 8.6470210117202226e-5),
+    (1.0, 1e-6, 4.4370737101190701e-11, 8.8741596762759219e-11, 8.6466509058613896e-7),
+    (1.0, 1e-8, 5.9515146291631971e-15, 1.1903029422718871e-14, 8.6466472050161271e-9),
+    (2.0, 1e-2, 0.029399561859864558, 0.06576373837449861, 0.0098653465116633181),
+    (2.0, 1e-4, 1.2305971503629178e-5, 2.4644275526706739e-5, 9.8173254947425168e-5),
+    (2.0, 1e-6, 2.092411491623789e-9, 4.1848780301518106e-9, 9.8168484296367355e-7),
+    (2.0, 1e-8, 2.9499022982046774e-13, 5.8998053724764135e-13, 9.816843659297868e-9),
+]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("r, U, discord, mutual, log_neg", MPMATH_MEASURES,
+                             ids=[f"r{row[0]}-U{row[1]:.0e}" for row in MPMATH_MEASURES])
+    def test_matches_extended_precision(self, r, U, discord, mutual, log_neg):
+        # the O(U ln U) terms that cancel leave a relative error of about
+        # 1e-16 / U, so 1e-8 is the one point held to a looser bound
+        rel = 1e-9 if U >= 1e-6 else 1e-7
+        meas = measures_from_amplitude(np.array([np.sqrt(U)]), r)
+        assert meas["discord"][0] == pytest.approx(discord, rel=rel)
+        assert meas["mutual_info"][0] == pytest.approx(mutual, rel=rel)
+        assert meas["log_neg"][0] == pytest.approx(log_neg, rel=rel)
+
+    def test_branch_is_always_top_on_the_family(self):
+        U = np.logspace(-4, 0, 161)
+        for r in np.linspace(0.05, 3.0, 60):
+            meas = measures_from_amplitude(np.sqrt(U), r)
+            I1, I3, I4, nu = meas["I1"], meas["I3"], meas["I4"], meas["nu_minus"]
+            assert (meas["branch"] == "top").all()
+            # (I4 - I1 I2)^2 - I3^2 (I2+1)(I1+I4) = -16 |w|^4 A^2 (nu^2-1)^2 <= 0
+            lhs = (I4 - I1 * I1) ** 2 - I3**2 * (I1 + 1.0) * (I1 + I4)
+            rhs = -I3**2 * I1 * (nu**2 - 1.0) ** 2
+            assert np.abs(lhs - rhs).max() <= 1e-13 * ((I4 - I1 * I1) ** 2).max()
+            # and there the oracle's top-branch m is the heterodyne (1 + eps_m)^2
+            s = np.sinh(r)
+            eps_m = 4.0 * U * s * s * (1.0 - U) / (2.0 + 2.0 * U * s * s)
+            err = np.abs(top_branch_m(I1, I1, I3, I4) / (1.0 + eps_m) ** 2 - 1.0)
+            assert err[:-1].max() < 1e-9
+            # at the pure state the oracle's inner root cancels to sqrt(roundoff)
+            assert err[-1] < 1e-7
+
+    @pytest.mark.parametrize("r", [1.0, 3.0])
+    def test_overshoot_within_tolerance_counts_as_unity(self, r):
+        meas = measures_from_amplitude(np.array([np.sqrt(1.0 + 1e-8)]), r)
+        pure = measures_from_amplitude(np.array([1.0]), r)
+        for key in ("discord", "mutual_info", "classical", "log_neg", "I1", "I4", "nu_minus"):
+            assert meas[key][0] == pure[key][0], key
+        with pytest.raises(PhysicalityError, match=r"\|u\| = 1\.00000002 exceeds 1"):
+            measures_from_amplitude(np.array([0.5, 1.0 + 2e-8, 1.0 + 1e-8]), r)
+
+    def test_decayed_weak_run_keeps_a_positive_discord(self):
+        # the weak-coupling run of acceptance criterion 6 decays to |u|^2 ~ 1e-8
+        model = OhmicFamilySpectrum(eta=0.08, n=3, omega_c=1.0, omega_ref=1.0)
+        traj = solve_amplitude(model, SystemMode(1.0), TimeGrid(200.0, 8000), tol=1e-3)
+        meas = measures_from_amplitude(traj.u, 1.0)
+        U = np.abs(traj.u) ** 2
+        assert U.min() < 1e-7
+        assert (meas["discord"][U > 0] > 0).all()
+        assert (meas["branch"] == "top").all()
 
 
 @pytest.mark.xfail(
