@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Subcommands: solve, sweep, modes, oracle, reproduce.  Exit codes: 0 on
-success, 2 on configuration errors, 3 on numerical non-convergence.
+success, 2 on configuration errors, 3 on numerical failure (non-convergence
+or an unphysical amplitude).
 """
 
 import argparse
 import sys
 
+from .gaussian import PhysicalityError
 from .scenario import (
     _PARSERS,
     FIGURES,
@@ -105,6 +107,9 @@ def main(argv=None):
         return 2
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
+        return 3
+    except PhysicalityError as exc:
+        print(f"unphysical amplitude: {exc}", file=sys.stderr)
         return 3
     write_csv(out, header, rows)
     print(out)

@@ -7,6 +7,13 @@ dressed kernel f(x)*exp(i*omega0*x) and no oscillatory drift term), which
 removes the bare phase from the discretization error; the scheme itself is a
 second-order Heun predictor-corrector with trapezoidal memory quadrature.
 
+``solve_amplitude`` halves the step until the estimated error of what it
+returns is below ``tol``.  Being second order, the change between two
+levels is three times the error of the finer one, so each level returns
+the Richardson value u_fine + (u_fine - u_coarse)/3; its error estimate is
+that change divided by three, or, from the second halving on, the change
+of the Richardson value itself if that is smaller.
+
 The memory term is a causal convolution of the kernel with the solution
 computed so far.  It is accumulated by divide and conquer (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): once the first half of
@@ -214,33 +221,44 @@ def _integrate(model, mode, t_max, steps):
 def solve_amplitude(model, mode, grid, tol=1e-5, max_refinements=8):
     """Solve the amplitude equation on ``grid`` with step-halving refinement.
 
-    The solver re-runs with halved dt until the sup-norm change of u on the
-    requested grid drops below ``tol``; the finest solution is reported,
-    restricted to the requested grid.
+    Level k integrates with dt = grid.dt / 2^k; u_k is that solution on the
+    requested grid and c_k = u_k - u_(k-1) its change from the level
+    before.  The scheme is second order, so the error of u_k is about c_k/3
+    and level k >= 1 yields the Richardson value R_k = u_k + c_k/3.  Its
+    error estimate is e_k = max|c_k|/3, the error of u_k, which R_k
+    removes; from k = 2 on it is tightened to min(e_k, max|R_k - R_(k-1)|).
+    The solver halves dt until e_k < ``tol`` and returns R_k, with
+    ``dt_used`` the finest dt and ``error_estimate`` e_k.  A level whose
+    change c_k is not finite stops the refinement.
     """
     check(tol=tol)
     coarse = _integrate(model, mode, grid.t_max, grid.steps)
+    previous = None
     err = np.inf
     for k in range(1, max_refinements + 1):
-        fine = _integrate(model, mode, grid.t_max, grid.steps << k)
-        restricted = fine[:: 1 << k]
-        err = float(np.abs(restricted - coarse).max())
-        coarse = restricted
-        if not math.isfinite(err):
+        fine = _integrate(model, mode, grid.t_max, grid.steps << k)[:: 1 << k]
+        change = fine - coarse
+        largest = float(np.abs(change).max())
+        if not math.isfinite(largest):
             raise ConvergenceError(
-                f"non-finite amplitude at {grid.steps << k} steps (change {err})",
-                error_estimate=err,
+                f"non-finite amplitude at {grid.steps << k} steps (change {largest})",
+                error_estimate=largest,
             )
+        extrapolated = fine + change / 3
+        err = largest / 3
+        if previous is not None:
+            err = min(err, float(np.abs(extrapolated - previous).max()))
         if err < tol:
             return AmplitudeTrajectory(
                 grid=grid,
-                u=restricted,
+                u=extrapolated,
                 dt_used=grid.t_max / (grid.steps << k),
                 error_estimate=err,
             )
+        coarse, previous = fine, extrapolated
     raise ConvergenceError(
         f"no convergence to tol={tol} after {max_refinements} halvings "
-        f"(last change {err:.3e})",
+        f"(last error estimate {err:.3e})",
         error_estimate=err,
     )
 

@@ -446,6 +446,29 @@ class TestCliEndToEnd:
         assert main(["solve", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 3
         assert "non-convergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, solver", [("solve", "solve_amplitude"),
+                                                 ("oracle", "exact_amplitude")])
+    def test_unphysical_amplitude_exit_code(self, tmp_path, capsys, monkeypatch, command, solver):
+        from gaussbath import scenario
+
+        solve = getattr(scenario, solver)
+
+        def overshooting(*args, **kwargs):
+            traj = solve(*args, **kwargs)
+            return dataclasses.replace(traj, u=traj.u * (1.0 + 1e-6))
+
+        monkeypatch.setattr(scenario, solver, overshooting)
+        out = tmp_path / "x.csv"
+        code = main([
+            command, "--model", "array", "--g", "0.02", "--xi", "0.05", "--omega-cavity", "1.0",
+            "--sites", "8", "--omega0", "0.95", "--tmax", "5", "--steps", "100",
+            "--out", str(out),
+        ])
+        assert code == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("unphysical amplitude: |u| = 1.000001") and "exceeds 1" in line
+        assert not out.exists()
+
     def test_oracle_subcommand(self, tmp_path):
         out = tmp_path / "oracle.csv"
         code = main([

@@ -123,6 +123,21 @@ class TestOracleAgreement:
         solved = solve_amplitude(SPEC_200, MODE_08, grid, tol=1e-3)
         assert np.abs(solved.u - exact.u).max() < 1e-3
 
+    @pytest.mark.parametrize(
+        "sites, omega0, t_max, steps",
+        [(8, 0.95, 200.0, 2000), (200, 0.8, 500.0, 10000)],
+        ids=["ring8", "fig4b"],
+    )
+    def test_volterra_error_within_its_estimate(self, sites, omega0, t_max, steps):
+        # the Richardson value is far inside tol; the finest level alone is
+        # 5.5e-7 (N = 8) and 2.1e-6 (N = 200) off the lattice
+        bath = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=sites)
+        mode, grid = SystemMode(omega0=omega0), TimeGrid(t_max=t_max, steps=steps)
+        solved = solve_amplitude(bath, mode, grid, tol=1e-3)
+        err = np.abs(solved.u - exact_amplitude(build_chain(bath, mode), grid).u).max()
+        assert err < 1e-9
+        assert err <= solved.error_estimate < 1e-3
+
     def test_late_time_plateau_matches_residue(self):
         grid = TimeGrid(t_max=500.0, steps=5000)
         exact = exact_amplitude(build_chain(SPEC_200, MODE_08), grid)

@@ -1,11 +1,12 @@
 """Amplitude-equation solver and time-local decay coefficients."""
 
+import functools
 import gc
 import math
 
 import numpy as np
 import pytest
-from conftest import direct_heun_volterra
+from conftest import direct_heun_volterra, ohmic_spectral_amplitude
 
 from gaussbath import (
     CavityArraySpectrum,
@@ -159,6 +160,66 @@ class TestSolver:
         with pytest.raises(ConvergenceError) as exc:
             solve_amplitude(ohmic(1.0), MODE, TimeGrid(20.0, 64), tol=1e-14, max_refinements=2)
         assert exc.value.error_estimate > 0
+
+
+ORACLE_TIMES = np.arange(51.0)  # every 50th point of TimeGrid(50, 2500)
+
+
+@functools.cache
+def spectral_oracle(eta, omega_c):
+    return ohmic_spectral_amplitude(eta, omega_c, 1.0, ORACLE_TIMES)
+
+
+class TestOhmicSpectralOracle:
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5])
+    @pytest.mark.parametrize("eta, omega_c", [(1.0, 1.0), (0.08, 2.0), (0.3, 1.0)])
+    def test_error_within_estimate(self, eta, omega_c, tol):
+        exact, _ = spectral_oracle(eta, omega_c)
+        traj = solve_amplitude(ohmic(eta, omega_c), MODE, TimeGrid(50.0, 2500), tol=tol)
+        err = np.abs(traj.u[::50] - exact).max()
+        assert err <= traj.error_estimate < tol
+
+    @pytest.mark.parametrize("eta, omega_c", [(1.0, 1.0), (0.08, 2.0), (0.3, 1.0)])
+    def test_oracle_starts_at_one(self, eta, omega_c):
+        # the pole weight and the continuum integral sum to u(0) = 1
+        exact, _ = spectral_oracle(eta, omega_c)
+        assert abs(exact[0] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("eta, omega_c", [(1.0, 1.0), (0.08, 2.0)])
+    def test_late_plateau_is_squared_residue(self, eta, omega_c):
+        # the continuum part decays like t^-4 (D ~ w^3 at w = 0): by t = 40
+        # it moves |u|^2 off Z^2 by about 2e-6
+        exact, bound = spectral_oracle(eta, omega_c)
+        tail = 5e-6
+        assert np.abs(np.abs(exact[40:]) ** 2 - bound.Z**2).max() < tail
+        traj = solve_amplitude(ohmic(eta, omega_c), MODE, TimeGrid(50.0, 2500), tol=1e-5)
+        late = np.abs(traj.u[traj.times >= 40.0]) ** 2
+        assert np.abs(late - bound.Z**2).max() < tail + 2 * traj.error_estimate
+
+
+# final steps of step halving stopped on the raw change between levels,
+# fig1a (omega_c = 1) and fig1b (eta = 0.08) points, T = 50, 2500 steps,
+# tol = 1e-3
+PLAIN_HALVING_STEPS = {
+    (0.05, 1.0): 5000,
+    (0.35, 1.0): 10000,
+    (0.5, 1.0): 20000,
+    (1.0, 1.0): 40000,
+    (0.08, 2.5): 80000,
+    (0.08, 3.0): 160000,
+}
+
+
+class TestRefinementDepth:
+    @pytest.mark.parametrize("eta, omega_c", [(1.0, 1.0), (0.08, 2.0)])
+    def test_benchmark_points_stop_at_10000_steps(self, eta, omega_c):
+        traj = solve_amplitude(ohmic(eta, omega_c), MODE, TimeGrid(50.0, 2500), tol=1e-3)
+        assert traj.dt_used == 50.0 / 10000
+
+    @pytest.mark.parametrize("eta, omega_c", sorted(PLAIN_HALVING_STEPS))
+    def test_never_deeper_than_plain_halving(self, eta, omega_c):
+        traj = solve_amplitude(ohmic(eta, omega_c), MODE, TimeGrid(50.0, 2500), tol=1e-3)
+        assert round(50.0 / traj.dt_used) <= PLAIN_HALVING_STEPS[eta, omega_c]
 
 
 class TestDecayRates:
