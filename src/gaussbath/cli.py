@@ -3,6 +3,12 @@
 Subcommands: solve, sweep, modes, oracle, reproduce.  Exit codes: 0 on
 success, 2 on configuration errors, 3 on numerical failure (non-convergence
 or an unphysical amplitude).
+
+Every flag of solve, sweep, modes and oracle sets one config key
+(``scenario.CONFIG_KEYS``) and overrides that key of the ``--config`` file.
+Flag values are passed on as text and parsed and checked exactly like config
+lines: each problem with them, or with the file, is one ``config error:``
+line on stderr and the exit code is 2.
 """
 
 import argparse
@@ -10,7 +16,7 @@ import sys
 
 from .gaussian import PhysicalityError
 from .scenario import (
-    _PARSERS,
+    CONFIG_KEYS,
     FIGURES,
     ConfigError,
     parse_config,
@@ -37,23 +43,10 @@ def _build_parser():
         if name == "reproduce":
             p.add_argument("--figure", choices=FIGURES, required=True)
         else:
-            # each flag's dest is its config key
             p.add_argument("--config", help="key=value config file")
-            p.add_argument("--model", choices=("ohmic", "array"))
-            p.add_argument("--eta", type=float)
-            p.add_argument("--n", type=float)
-            p.add_argument("--omega-c", dest="omega_c", type=float)
-            p.add_argument("--omega-ref", dest="omega_ref", type=float)
-            p.add_argument("--g", type=float)
-            p.add_argument("--xi", type=float)
-            p.add_argument("--omega-cavity", dest="omega_C", type=float)
-            p.add_argument("--sites", dest="N", help="array site count, or 'continuum'")
-            p.add_argument("--omega0", type=float)
-            p.add_argument("--r", type=float)
-            p.add_argument("--tmax", dest="t_max", type=float)
-            p.add_argument("--steps", type=int)
-            p.add_argument("--tol", type=float)
-            p.add_argument("--topology")
+            for key, (_, flag) in CONFIG_KEYS.items():
+                if flag:
+                    p.add_argument(flag, dest=key, help=f"overrides {key}= of the config")
         p.add_argument("--out", help="output CSV path (default: <command>.csv)")
     return parser
 
@@ -67,8 +60,7 @@ def _load_config(args):
         except OSError as exc:
             message = f"cannot read config {args.config!r}: {exc.strerror or exc}"
             raise ConfigError([message]) from None
-    values = {key: getattr(args, key, None) for key in _PARSERS}
-    overrides = {key: value for key, value in values.items() if value is not None}
+    overrides = {key: getattr(args, key) for key, (_, flag) in CONFIG_KEYS.items() if flag}
     return parse_config(text, overrides=overrides)
 
 

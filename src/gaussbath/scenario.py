@@ -82,33 +82,37 @@ def _parse_values(text):
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-_PARSERS = {
-    "model": str,
-    "eta": float,
-    "n": float,
-    "omega_c": float,
-    "omega_ref": float,
-    "g": float,
-    "xi": float,
-    "omega_C": float,
-    "N": _parse_sites,
-    "omega0": float,
-    "r": float,
-    "t_max": float,
-    "steps": int,
-    "tol": float,
-    "topology": str,
-    "outputs": _parse_outputs,
-    "sweep": str,
-    "sweep_values": _parse_values,
+# every config key, in the order serialize_config writes them: the parser of
+# its text and its CLI flag (None for the keys only a config file sets)
+CONFIG_KEYS = {
+    "model": (str, "--model"),
+    "eta": (float, "--eta"),
+    "n": (float, "--n"),
+    "omega_c": (float, "--omega-c"),
+    "omega_ref": (float, "--omega-ref"),
+    "g": (float, "--g"),
+    "xi": (float, "--xi"),
+    "omega_C": (float, "--omega-cavity"),
+    "N": (_parse_sites, "--sites"),
+    "omega0": (float, "--omega0"),
+    "r": (float, "--r"),
+    "t_max": (float, "--tmax"),
+    "steps": (int, "--steps"),
+    "tol": (float, "--tol"),
+    "topology": (str, "--topology"),
+    "outputs": (_parse_outputs, None),
+    "sweep": (str, None),
+    "sweep_values": (_parse_values, None),
 }
 
 
 def parse_config(text, overrides=None):
     """Parse ``key=value`` text (plus optional override mapping) into a
-    validated ScenarioConfig; raises ConfigError listing every problem."""
+    validated ScenarioConfig; raises ConfigError listing every problem.
+    Overrides replace file values before conversion; one given as text is
+    parsed like a file value, any other is taken as already typed."""
     errors = []
-    raw = {}
+    raw = {}  # key -> (value, prefix of its error messages)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -117,29 +121,23 @@ def parse_config(text, overrides=None):
             errors.append(f"line {lineno}: expected key=value, got {line!r}")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _PARSERS:
+        if key not in CONFIG_KEYS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        raw[key] = (value, lineno)
-    values = {}
-    for key, (text_value, lineno) in raw.items():
-        try:
-            values[key] = _PARSERS[key](text_value)
-        except ValueError:
-            errors.append(f"line {lineno}: invalid value for {key!r}: {text_value!r}")
+        raw[key] = (value, f"line {lineno}: ")
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _PARSERS:
+        if key not in CONFIG_KEYS:
             errors.append(f"unknown key {key!r}")
             continue
-        if isinstance(value, str):
-            try:
-                values[key] = _PARSERS[key](value)
-            except ValueError:
-                errors.append(f"invalid value for {key!r}: {value!r}")
-        else:
-            values[key] = value
+        raw[key] = (value, "")
+    values = {}
+    for key, (value, where) in raw.items():
+        try:
+            values[key] = CONFIG_KEYS[key][0](value) if isinstance(value, str) else value
+        except ValueError:
+            errors.append(f"{where}invalid value for {key!r}: {value!r}")
     return _build_config(values, errors)
 
 
@@ -213,33 +211,31 @@ def _build_config(values, errors=None):
 
     if errors:
         raise ConfigError(errors)
-    kwargs = {k: v for k, v in values.items() if k in ScenarioConfig.__dataclass_fields__}
-    kwargs["model"] = model
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**{**values, "model": model})
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def _config_text(value):
+    if isinstance(value, tuple):
+        return ",".join(map(_config_text, value))
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
 
 
 def serialize_config(cfg):
     """Canonical key=value rendering; parse_config(serialize_config(c)) == c."""
-    lines = [f"model={cfg.model}"]
-    for key in ("eta", "n", "omega_c", "omega_ref", "g", "xi", "omega_C"):
+    lines = []
+    for key in CONFIG_KEYS:
         value = getattr(cfg, key)
-        if value is not None:
-            lines.append(f"{key}={value!r}")
-    if cfg.N is not None:
-        lines.append(f"N={cfg.N}")
-    elif cfg.model == "array":
-        lines.append("N=continuum")
-    lines.append(f"omega0={cfg.omega0!r}")
-    lines.append(f"r={cfg.r!r}")
-    lines.append(f"t_max={cfg.t_max!r}")
-    lines.append(f"steps={cfg.steps}")
-    lines.append(f"tol={cfg.tol!r}")
-    lines.append(f"topology={cfg.topology}")
-    if cfg.outputs != MEASURE_COLUMNS:
-        lines.append("outputs=" + ",".join(cfg.outputs))
-    if cfg.sweep is not None:
-        lines.append(f"sweep={cfg.sweep}")
-        lines.append("sweep_values=" + ",".join(repr(v) for v in cfg.sweep_values))
+        if key == "N" and value is None and cfg.model == "array":
+            value = "continuum"
+        if value is None or (key == "outputs" and value == MEASURE_COLUMNS):
+            continue
+        lines.append(f"{key}={_config_text(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -256,10 +252,6 @@ def build_mode(cfg):
 
 def build_grid(cfg):
     return TimeGrid(t_max=cfg.t_max, steps=cfg.steps)
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _solve_header(cfg):

@@ -79,9 +79,15 @@ class CavityArraySpectrum:
         return self._mode_energies
 
     @cached_property
+    def _mode_offsets(self):
+        """2*xi*cos(k_m): each mode's energy above the band centre, cached read-only."""
+        offsets = 2 * self.xi * np.cos(2 * np.pi * np.arange(self.sites) / self.sites)
+        offsets.flags.writeable = False
+        return offsets
+
+    @cached_property
     def _mode_energies(self):
-        k = 2 * np.pi * np.arange(self.sites) / self.sites
-        eps = self.omega_C + 2 * self.xi * np.cos(k)
+        eps = self.omega_C + self._mode_offsets
         eps.flags.writeable = False
         return eps
 
@@ -168,7 +174,7 @@ def memory_kernel(model, t):
         else:
             # the band centre is factored out of the mode phases, so their
             # rounding grows with 2 xi t rather than with omega_C t
-            offsets = 2 * model.xi * np.cos(2 * np.pi * np.arange(model.sites) / model.sites)
+            offsets = model._mode_offsets
             flat = np.atleast_1d(ts)
             total = np.empty(flat.shape, dtype=complex)
             # chunked so large time grids do not allocate an (M x N) matrix at once

@@ -50,6 +50,7 @@ from .spectra import evaluate_density, memory_kernel
 
 VALIDITY_FLOOR = 1e-8  # |u|^2 below this makes -u'/u numerically meaningless
 _BLOCK = 64  # steps below which a block sums its own history directly
+_MAX_REFINEMENTS = 8  # step halvings before solve_amplitude gives up
 
 
 class ConvergenceError(RuntimeError):
@@ -218,7 +219,7 @@ def _integrate(model, mode, t_max, steps):
     return v * np.exp(-1j * mode.omega0 * ts)
 
 
-def solve_amplitude(model, mode, grid, tol=1e-5, max_refinements=8):
+def solve_amplitude(model, mode, grid, tol=1e-5):
     """Solve the amplitude equation on ``grid`` with step-halving refinement.
 
     Level k integrates with dt = grid.dt / 2^k; u_k is that solution on the
@@ -235,7 +236,7 @@ def solve_amplitude(model, mode, grid, tol=1e-5, max_refinements=8):
     coarse = _integrate(model, mode, grid.t_max, grid.steps)
     previous = None
     err = np.inf
-    for k in range(1, max_refinements + 1):
+    for k in range(1, _MAX_REFINEMENTS + 1):
         fine = _integrate(model, mode, grid.t_max, grid.steps << k)[:: 1 << k]
         change = fine - coarse
         largest = float(np.abs(change).max())
@@ -257,7 +258,7 @@ def solve_amplitude(model, mode, grid, tol=1e-5, max_refinements=8):
             )
         coarse, previous = fine, extrapolated
     raise ConvergenceError(
-        f"no convergence to tol={tol} after {max_refinements} halvings "
+        f"no convergence to tol={tol} after {_MAX_REFINEMENTS} halvings "
         f"(last error estimate {err:.3e})",
         error_estimate=err,
     )

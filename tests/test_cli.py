@@ -1,5 +1,6 @@
 """Config parsing, CSV contracts, CLI exit codes and determinism."""
 
+import argparse
 import dataclasses
 import math
 import os
@@ -24,9 +25,12 @@ from gaussbath import (
     solve_amplitude,
     spectral_function_y,
 )
-from gaussbath.cli import main
+from gaussbath.cli import _build_parser, main
 from gaussbath.scenario import (
     _CHUNK,
+    CONFIG_KEYS,
+    ScenarioConfig,
+    _figure_specs,
     _text_chunks,
     _trajectory_rows,
     build_grid,
@@ -97,6 +101,9 @@ class TestParseConfig:
         cfg = parse_config(OHMIC_TEXT, overrides={"eta": 0.3, "t_max": 10.0})
         assert cfg.eta == 0.3
         assert cfg.t_max == 10.0
+        # text overrides, as the CLI passes them, are parsed like file values
+        cfg = parse_config(OHMIC_TEXT, overrides={"eta": "0.3", "steps": "400", "N": None})
+        assert (cfg.eta, cfg.steps) == (0.3, 400)
 
     def test_round_trip(self):
         for text in (
@@ -107,6 +114,12 @@ class TestParseConfig:
         ):
             cfg = parse_config(text)
             assert parse_config(serialize_config(cfg)) == cfg
+        # the canned figure configs hold numpy floats among their sweep values
+        for spec in _figure_specs().values():
+            assert parse_config(serialize_config(spec["cfg"])) == spec["cfg"]
+
+    def test_key_table_lists_every_config_field(self):
+        assert set(CONFIG_KEYS) == {field.name for field in dataclasses.fields(ScenarioConfig)}
 
     def test_mixed_model_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -572,6 +585,45 @@ class TestCliEndToEnd:
         assert err_lines[0].startswith("config error: ") and str(missing) in err_lines[0]
         assert not out.exists()
 
+    def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        base = ["solve", "--eta", "0.2", "--n", "3", "--omega-c", "1", "--out", str(out)]
+        assert main([*base, "--steps", "2.5"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: invalid value for 'steps': '2.5'"
+        ]
+        # every bad flag is reported, not only the first
+        assert main([*base, "--eta", "abc", "--steps", "2.5"]) == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines[:2] == [
+            "config error: invalid value for 'eta': 'abc'",
+            "config error: invalid value for 'steps': '2.5'",
+        ]
+        assert main([*base, "--model", "foo"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: model must be 'ohmic' or 'array'")
+        assert not out.exists()
+
+    def test_flag_replaces_a_bad_file_value(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("eta=0.2\nn=3\nomega_c=1.0\nt_max=5\nsteps=2.5\ntol=1e-4\n")
+        out = tmp_path / "r.csv"
+        assert main(["solve", "--config", str(config), "--steps", "100", "--out", str(out)]) == 0
+
+    def test_one_text_flag_per_flagged_key(self):
+        parser = _build_parser()
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        expected = {key: [flag] for key, (_, flag) in CONFIG_KEYS.items() if flag is not None}
+        expected.update(config=["--config"], out=["--out"])
+        for name, sub in commands.choices.items():
+            if name == "reproduce":
+                continue
+            actions = [a for a in sub._actions if a.dest != "help"]
+            assert {a.dest: a.option_strings for a in actions} == expected
+            assert len(actions) == len(expected)
+            # conversion and range checks are the config parser's
+            assert all(a.type is None and a.choices is None for a in actions)
+
     def test_reproduce_takes_no_model_flags(self, tmp_path):
         for extra in (["--eta", "5"], ["--config", str(tmp_path / "none.cfg")]):
             with pytest.raises(SystemExit) as exc:
@@ -584,8 +636,6 @@ class TestCliEndToEnd:
 
 class TestReproduce:
     def test_canned_configs_match_caption_values(self):
-        from gaussbath.scenario import _figure_specs
-
         specs = _figure_specs()
         assert set(specs) == {
             "fig1a", "fig1b", "fig2a", "fig2b", "fig4a", "fig4b", "fig5a", "fig5b",

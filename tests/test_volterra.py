@@ -158,7 +158,7 @@ class TestSolver:
 
     def test_nonconvergence_raises_with_estimate(self):
         with pytest.raises(ConvergenceError) as exc:
-            solve_amplitude(ohmic(1.0), MODE, TimeGrid(20.0, 64), tol=1e-14, max_refinements=2)
+            solve_amplitude(ohmic(1.0), MODE, TimeGrid(20.0, 64), tol=1e-14)
         assert exc.value.error_estimate > 0
 
 
