@@ -6,6 +6,10 @@ plain CSV with a fixed column order and shortest round-trip float
 formatting, so identical configs reproduce byte-identical files.  Float
 columns are formatted in chunks of rows, one ``repr`` of a list per column
 and chunk, which writes every entry exactly as ``repr(float(x))`` would.
+
+A run over several values of one key is a sweep: ``sweep=<key>`` and
+``sweep_values=<v1,v2,...>``.  The canned figures are such configs too; one
+point loop serves the ``sweep`` command and every multi-run figure.
 """
 
 import dataclasses
@@ -23,10 +27,9 @@ from .lattice import build_chain, discrete_bound_modes, exact_amplitude
 from .spectra import CavityArraySpectrum, OhmicFamilySpectrum
 from .volterra import ConvergenceError, SystemMode, TimeGrid, decay_rates, solve_amplitude
 
-MEASURE_COLUMNS = ("discord", "mutual_info", "classical", "log_neg")
-SOLVE_COLUMNS_HEAD = (
-    "t", "u_re", "u_im", "u_abs2", "gamma", "omega_shift",
-    "I1", "I2", "I3", "I4", "nu_minus", "nu_plus",
+SOLVE_HEADER = (
+    "t,u_re,u_im,u_abs2,gamma,omega_shift,I1,I2,I3,I4,nu_minus,nu_plus,"
+    "discord,mutual_info,classical,log_neg,branch"
 )
 NA = "NA"
 # rows formatted at a time: bounds the Python floats and strings alive besides
@@ -63,7 +66,6 @@ class ScenarioConfig:
     xi: float | None = None
     omega_C: float | None = None
     N: int | None = None
-    outputs: tuple = MEASURE_COLUMNS
     sweep: str | None = None
     sweep_values: tuple | None = None
 
@@ -74,12 +76,11 @@ def _parse_sites(text):
     return int(text)
 
 
-def _parse_outputs(text):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
 def _parse_values(text):
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    values = tuple(float(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise ValueError("no sweep values")
+    return values
 
 
 # every config key, in the order serialize_config writes them: the parser of
@@ -100,7 +101,6 @@ CONFIG_KEYS = {
     "steps": (int, "--steps"),
     "tol": (float, "--tol"),
     "topology": (str, "--topology"),
-    "outputs": (_parse_outputs, None),
     "sweep": (str, None),
     "sweep_values": (_parse_values, None),
 }
@@ -138,7 +138,7 @@ def parse_config(text, overrides=None):
             values[key] = CONFIG_KEYS[key][0](value) if isinstance(value, str) else value
         except ValueError:
             errors.append(f"{where}invalid value for {key!r}: {value!r}")
-    return _build_config(values, errors)
+    return _build_config(values, errors, given=raw.keys())
 
 
 def _value_errors(values, model):
@@ -158,11 +158,13 @@ def _value_errors(values, model):
     return errors
 
 
-def _build_config(values, errors=None):
-    errors = list(errors or [])
+def _build_config(values, errors, given):
+    """Check the converted ``values``; ``given`` also holds the keys whose
+    text did not convert, already in ``errors``, so none reads as missing."""
+    errors = list(errors)
     model = values.get("model")
-    has_ohmic = not OHMIC_KEYS.isdisjoint(values)
-    has_array = not ARRAY_KEYS.isdisjoint(values)
+    has_ohmic = not OHMIC_KEYS.isdisjoint(given)
+    has_array = not ARRAY_KEYS.isdisjoint(given)
     if model is None:
         if has_ohmic and not has_array:
             model = "ohmic"
@@ -177,26 +179,23 @@ def _build_config(values, errors=None):
 
     if model == "ohmic":
         for key in ("eta", "n", "omega_c"):
-            if values.get(key) is None:
+            if key not in given:
                 errors.append(f"model=ohmic requires {key}")
     if model == "array":
         for key in ("g", "xi"):
-            if values.get(key) is None:
+            if key not in given:
                 errors.append(f"model=array requires {key}")
         values.setdefault("omega_C", 1.0)
     base_errors = _value_errors(values, model)
     errors.extend(base_errors)
 
-    outputs = values.get("outputs")
-    if outputs is not None:
-        for name in outputs:
-            if name not in MEASURE_COLUMNS:
-                errors.append(f"unknown output column {name!r}")
     sweep = values.get("sweep")
     if sweep is not None and sweep not in SWEEPABLE:
         errors.append(f"sweep parameter must be one of {SWEEPABLE}, got {sweep!r}")
-    if sweep is not None and not values.get("sweep_values"):
+    if sweep is not None and "sweep_values" not in given:
         errors.append("sweep requires sweep_values")
+    if sweep is None and "sweep_values" in given:
+        errors.append("sweep_values requires sweep")
     if not all(math.isfinite(x) for x in values.get("sweep_values") or ()):
         errors.append(f"sweep_values must be finite, got {values['sweep_values']}")
     if sweep in SWEEPABLE:
@@ -233,7 +232,7 @@ def serialize_config(cfg):
         value = getattr(cfg, key)
         if key == "N" and value is None and cfg.model == "array":
             value = "continuum"
-        if value is None or (key == "outputs" and value == MEASURE_COLUMNS):
+        if value is None:
             continue
         lines.append(f"{key}={_config_text(value)}")
     return "\n".join(lines) + "\n"
@@ -246,16 +245,10 @@ def build_model(cfg):
     return CavityArraySpectrum(g=cfg.g, xi=cfg.xi, omega_C=cfg.omega_C, sites=cfg.N)
 
 
-def build_mode(cfg):
-    return SystemMode(omega0=cfg.omega0)
-
-
-def build_grid(cfg):
-    return TimeGrid(t_max=cfg.t_max, steps=cfg.steps)
-
-
-def _solve_header(cfg):
-    return ",".join(SOLVE_COLUMNS_HEAD + tuple(cfg.outputs) + ("branch",))
+def _solve(cfg):
+    """The Volterra solve of one config (not a sweep)."""
+    grid = TimeGrid(t_max=cfg.t_max, steps=cfg.steps)
+    return solve_amplitude(build_model(cfg), SystemMode(omega0=cfg.omega0), grid, tol=cfg.tol)
 
 
 def _text_chunks(arrays):
@@ -275,15 +268,16 @@ def _trajectory_rows(cfg, traj):
     # state family, so each pair is formatted once and written twice
     arrays = (
         traj.times, u.real, u.imag, np.abs(u) ** 2, rates.gamma, rates.omega_shift,
-        meas["I1"], meas["I3"], meas["I4"], meas["nu_minus"], *(meas[name] for name in cfg.outputs),
+        meas["I1"], meas["I3"], meas["I4"], meas["nu_minus"],
+        meas["discord"], meas["mutual_info"], meas["classical"], meas["log_neg"],
     )
     rows = []
-    for lo, (t, re, im, abs2, gamma, shift, i1, i3, i4, nu, *outputs) in _text_chunks(arrays):
+    for lo, (t, re, im, abs2, gamma, shift, i1, i3, i4, nu, *measures) in _text_chunks(arrays):
         valid = rates.valid[lo : lo + _CHUNK].tolist()
         gamma = [text if ok else NA for text, ok in zip(gamma, valid)]
         shift = [text if ok else NA for text, ok in zip(shift, valid)]
         branch = meas["branch"][lo : lo + _CHUNK].tolist()
-        cells = zip(t, re, im, abs2, gamma, shift, i1, i1, i3, i4, nu, nu, *outputs, branch)
+        cells = zip(t, re, im, abs2, gamma, shift, i1, i1, i3, i4, nu, nu, *measures, branch)
         rows.extend(map(",".join, cells))
     return rows
 
@@ -300,8 +294,7 @@ def _require_ring(cfg, command):
 def run_scenario(cfg):
     """Solve one scenario; returns (header, row lines) for the solve CSV."""
     _require_ring(cfg, "solve")
-    traj = solve_amplitude(build_model(cfg), build_mode(cfg), build_grid(cfg), tol=cfg.tol)
-    return _solve_header(cfg), _trajectory_rows(cfg, traj)
+    return SOLVE_HEADER, _trajectory_rows(cfg, _solve(cfg))
 
 
 def run_oracle(cfg):
@@ -309,9 +302,15 @@ def run_oracle(cfg):
     model = build_model(cfg)
     if not isinstance(model, CavityArraySpectrum) or model.sites is None:
         raise ConfigError(["the oracle needs model=array with a finite N"])
-    chain = build_chain(model, build_mode(cfg), topology=cfg.topology)
-    traj = exact_amplitude(chain, build_grid(cfg))
-    return _solve_header(cfg), _trajectory_rows(cfg, traj)
+    chain = build_chain(model, SystemMode(omega0=cfg.omega0), topology=cfg.topology)
+    traj = exact_amplitude(chain, TimeGrid(t_max=cfg.t_max, steps=cfg.steps))
+    return SOLVE_HEADER, _trajectory_rows(cfg, traj)
+
+
+def _sweep_points(cfg):
+    """Yield (value, config of that point) for each value of cfg's sweep."""
+    for value in cfg.sweep_values:
+        yield value, dataclasses.replace(cfg, sweep=None, sweep_values=None, **{cfg.sweep: value})
 
 
 def run_sweep(cfg):
@@ -327,12 +326,9 @@ def run_sweep(cfg):
     rows = []
     failures = []
     times = None
-    for value in cfg.sweep_values:
-        point = dataclasses.replace(cfg, sweep=None, sweep_values=None, **{cfg.sweep: value})
+    for value, point in _sweep_points(cfg):
         try:
-            traj = solve_amplitude(
-                build_model(point), build_mode(point), build_grid(point), tol=point.tol
-            )
+            traj = _solve(point)
             meas = measures_from_amplitude(traj.u, point.r)
         except (ConvergenceError, PhysicalityError, ValueError) as exc:
             # recorded per point, partial results kept
@@ -391,7 +387,7 @@ def run_modes(cfg):
     """(E, y(E)) samples outside the support plus a bound-mode summary block."""
     _require_ring(cfg, "modes")
     model = build_model(cfg)
-    mode = build_mode(cfg)
+    mode = SystemMode(omega0=cfg.omega0)
     rows = []
     for grid in _mode_sample_energies(model):
         for E in grid:
@@ -416,29 +412,23 @@ _ARRAY_BASE = dict(model="array", g=0.02, xi=0.05, omega_C=1.0, N=200, r=1.0)
 
 
 def _figure_specs():
+    """figure -> (command, config); a figure of several runs sweeps one key."""
     specs = {
-        "fig1a": dict(
-            kind="sweep",
-            cfg=ScenarioConfig(**_OHMIC_BASE, eta=0.05, sweep="eta",
-                               sweep_values=tuple(np.round(np.arange(1, 21) * 0.05, 2))),
-        ),
-        "fig1b": dict(
-            kind="sweep",
-            cfg=ScenarioConfig(**_OHMIC_BASE, eta=0.08, sweep="omega_c",
-                               sweep_values=tuple(np.round(np.arange(1, 13) * 0.25, 2))),
-        ),
-        "fig2a": dict(kind="solve_set", param="eta", values=(0.08, 0.5, 1.0),
-                      cfg=ScenarioConfig(**_OHMIC_BASE, eta=0.08)),
-        "fig2b": dict(kind="solve_set", param="omega_c", values=(1.0, 2.0, 3.0),
-                      cfg=ScenarioConfig(**{**_OHMIC_BASE, "omega_c": 1.0}, eta=0.08)),
-        "fig4a": dict(kind="modes_set", values=(0.8, 0.85, 0.9, 0.95),
-                      cfg=ScenarioConfig(**_ARRAY_BASE, omega0=0.8)),
-        "fig4b": dict(
-            kind="sweep",
-            cfg=ScenarioConfig(**_ARRAY_BASE, omega0=0.8, t_max=500.0, steps=10000,
-                               tol=1e-3, sweep="omega0",
-                               sweep_values=(0.8, 0.85, 0.9, 0.95)),
-        ),
+        "fig1a": ("sweep", ScenarioConfig(
+            **_OHMIC_BASE, eta=0.05, sweep="eta",
+            sweep_values=tuple(np.round(np.arange(1, 21) * 0.05, 2)))),
+        "fig1b": ("sweep", ScenarioConfig(
+            **_OHMIC_BASE, eta=0.08, sweep="omega_c",
+            sweep_values=tuple(np.round(np.arange(1, 13) * 0.25, 2)))),
+        "fig2a": ("solve", ScenarioConfig(
+            **_OHMIC_BASE, eta=0.08, sweep="eta", sweep_values=(0.08, 0.5, 1.0))),
+        "fig2b": ("solve", ScenarioConfig(
+            **_OHMIC_BASE, eta=0.08, sweep="omega_c", sweep_values=(1.0, 2.0, 3.0))),
+        "fig4a": ("modes", ScenarioConfig(
+            **_ARRAY_BASE, omega0=0.8, sweep="omega0", sweep_values=(0.8, 0.85, 0.9, 0.95))),
+        "fig4b": ("sweep", ScenarioConfig(
+            **_ARRAY_BASE, omega0=0.8, t_max=500.0, steps=10000, tol=1e-3, sweep="omega0",
+            sweep_values=(0.8, 0.85, 0.9, 0.95))),
     }
     # fig5a/fig5b plot |u(t)|^2 of the same runs as fig2a/fig2b
     specs["fig5a"] = specs["fig2a"]
@@ -452,40 +442,32 @@ FIGURES = tuple(sorted(_figure_specs()))
 def reproduce(figure, out):
     """Emit the CSV data behind one of the published figures.
 
-    ``out`` names the output file; figures made of several independent runs
-    append a parameter tag to its stem.  Returns the list of written paths.
+    ``out`` names the output file.  A ``solve`` figure writes one file per
+    sweep point, tagging the stem with the swept key and value; a ``modes``
+    figure tags each point's rows with its value.  Returns the written paths.
     """
     specs = _figure_specs()
     if figure not in specs:
         raise ConfigError([f"unknown figure {figure!r}; choose from {FIGURES}"])
-    spec = specs[figure]
-    written = []
-    if spec["kind"] == "sweep":
-        header, rows, failures = run_sweep(spec["cfg"])
+    command, cfg = specs[figure]
+    if command == "sweep":
+        header, rows, failures = run_sweep(cfg)
         if failures:
             raise ConvergenceError(f"sweep points failed: {failures}", error_estimate=float("nan"))
         write_csv(out, header, rows)
-        written.append(out)
-    elif spec["kind"] == "solve_set":
-        stem = out[:-4] if out.endswith(".csv") else out
-        for value in spec["values"]:
-            cfg = dataclasses.replace(spec["cfg"], **{spec["param"]: value})
-            header, rows = run_scenario(cfg)
-            path = f"{stem}_{spec['param']}_{value!r}.csv"
-            write_csv(path, header, rows)
+        return [out]
+    if command == "solve":
+        stem = out.removesuffix(".csv")
+        written = []
+        for value, point in _sweep_points(cfg):
+            path = f"{stem}_{cfg.sweep}_{value!r}.csv"
+            write_csv(path, *run_scenario(point))
             written.append(path)
-    else:  # modes_set over omega0
-        header = "omega0,E,y"
-        rows = []
-        for value in spec["values"]:
-            cfg = dataclasses.replace(spec["cfg"], omega0=value)
-            sub_header, sub_rows = run_modes(cfg)
-            tag = _fmt(value)
-            for row in sub_rows:
-                if row.startswith("#"):
-                    rows.append(f"# omega0={tag} {row[2:]}")
-                else:
-                    rows.append(f"{tag},{row}")
-        write_csv(out, header, rows)
-        written.append(out)
-    return written
+        return written
+    rows = []  # modes: every point's rows in one file, tagged with its value
+    for value, point in _sweep_points(cfg):
+        tag = _fmt(value)
+        for row in run_modes(point)[1]:
+            rows.append(f"# {cfg.sweep}={tag} {row[2:]}" if row.startswith("#") else f"{tag},{row}")
+    write_csv(out, f"{cfg.sweep},E,y", rows)
+    return [out]

@@ -22,7 +22,6 @@ from gaussbath import (
     measures_from_amplitude,
     parse_config,
     serialize_config,
-    solve_amplitude,
     spectral_function_y,
 )
 from gaussbath.cli import _build_parser, main
@@ -31,11 +30,9 @@ from gaussbath.scenario import (
     CONFIG_KEYS,
     ScenarioConfig,
     _figure_specs,
+    _solve,
     _text_chunks,
     _trajectory_rows,
-    build_grid,
-    build_mode,
-    build_model,
     run_modes,
     run_scenario,
     run_sweep,
@@ -115,11 +112,16 @@ class TestParseConfig:
             cfg = parse_config(text)
             assert parse_config(serialize_config(cfg)) == cfg
         # the canned figure configs hold numpy floats among their sweep values
-        for spec in _figure_specs().values():
-            assert parse_config(serialize_config(spec["cfg"])) == spec["cfg"]
+        for _, cfg in _figure_specs().values():
+            assert parse_config(serialize_config(cfg)) == cfg
 
     def test_key_table_lists_every_config_field(self):
         assert set(CONFIG_KEYS) == {field.name for field in dataclasses.fields(ScenarioConfig)}
+
+    def test_outputs_is_not_a_key(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(OHMIC_TEXT + "outputs=discord\n")
+        assert exc.value.errors == ["line 7: unknown key 'outputs'"]
 
     def test_mixed_model_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -130,6 +132,15 @@ class TestParseConfig:
             parse_config(OHMIC_TEXT + "sweep=cabbage\nsweep_values=1,2\n")
         with pytest.raises(ConfigError):
             parse_config(OHMIC_TEXT + "sweep=eta\n")
+        # sweep values without a swept key would be ignored by every command
+        with pytest.raises(ConfigError) as exc:
+            parse_config("eta=0.1\nn=3\nomega_c=1\nsweep_values=1,2\n")
+        assert exc.value.errors == ["sweep_values requires sweep"]
+        # unparsed or empty values are reported once, not also as missing
+        for text in ("0.1,abc", ""):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(OHMIC_TEXT + f"sweep=eta\nsweep_values={text}\n")
+            assert exc.value.errors == [f"line 8: invalid value for 'sweep_values': {text!r}"]
         # a swept key of the other model would be ignored by the solve
         for text, key in (
             (OHMIC_TEXT + "sweep=g\nsweep_values=0.01,0.02\n", "g"),
@@ -240,7 +251,7 @@ class TestCsvText:
     def test_rows_match_per_cell_repr(self):
         # 4601 rows: several full chunks and a partial one, with NA rates late on
         cfg = parse_config("eta=0.08\nn=3\nomega_c=1.0\nr=1\nt_max=230\nsteps=4600\ntol=1e-3\n")
-        traj = solve_amplitude(build_model(cfg), build_mode(cfg), build_grid(cfg), tol=cfg.tol)
+        traj = _solve(cfg)
         rows = _trajectory_rows(cfg, traj)
         rates = decay_rates(traj)
         meas = measures_from_amplitude(traj.u, cfg.r)
@@ -249,8 +260,8 @@ class TestCsvText:
         assert not rates.valid.all() and rates.valid.any()
         columns = [traj.times, traj.u.real, traj.u.imag, np.abs(traj.u) ** 2,
                    rates.gamma, rates.omega_shift,
-                   *(meas[name] for name in ("I1", "I2", "I3", "I4", "nu_minus", "nu_plus")),
-                   *(meas[name] for name in cfg.outputs)]
+                   *(meas[name] for name in ("I1", "I2", "I3", "I4", "nu_minus", "nu_plus",
+                                             "discord", "mutual_info", "classical", "log_neg"))]
         assert len(rows) == len(traj.times) > 2 * _CHUNK
         for i, row in enumerate(rows):
             cells = [repr(float(col[i])) for col in columns] + [str(meas["branch"][i])]
@@ -604,6 +615,20 @@ class TestCliEndToEnd:
         assert line.startswith("config error: model must be 'ohmic' or 'array'")
         assert not out.exists()
 
+    def test_unparsed_value_is_reported_once(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        config = tmp_path / "run.cfg"
+        config.write_text("eta=abc\nn=3\nomega_c=1\n")
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: line 1: invalid value for 'eta': 'abc'"
+        ]
+        assert main(["solve", "--eta", "abc", "--n", "3", "--omega-c", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: invalid value for 'eta': 'abc'"
+        ]
+        assert not out.exists()
+
     def test_flag_replaces_a_bad_file_value(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("eta=0.2\nn=3\nomega_c=1.0\nt_max=5\nsteps=2.5\ntol=1e-4\n")
@@ -634,46 +659,89 @@ class TestCliEndToEnd:
         assert exc.value.code == 2
 
 
+@pytest.fixture(scope="module")
+def fig2a_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fig2a") / "fig2a.csv"
+    assert main(["reproduce", "--figure", "fig2a", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def fig4a_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fig4a") / "fig4a.csv"
+    assert main(["reproduce", "--figure", "fig4a", "--out", str(out)]) == 0
+    return out
+
+
+def _lines(data):
+    # compared as lists of byte lines: pytest diffs two long strings line by
+    # line in quadratic time, but reports a list's first differing item
+    return data.splitlines(keepends=True)
+
+
+def _cli_point(tmp_path, figure, command, flags):
+    """The CSV lines of a CLI run of ``figure``'s config without its sweep."""
+    _, cfg = _figure_specs()[figure]
+    config = tmp_path / "base.cfg"
+    config.write_text(serialize_config(dataclasses.replace(cfg, sweep=None, sweep_values=None)))
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--config", str(config), *flags, "--out", str(out)]) == 0
+    return _lines(out.read_bytes())
+
+
 class TestReproduce:
     def test_canned_configs_match_caption_values(self):
         specs = _figure_specs()
         assert set(specs) == {
             "fig1a", "fig1b", "fig2a", "fig2b", "fig4a", "fig4b", "fig5a", "fig5b",
         }
+        commands = {fig: command for fig, (command, _) in specs.items()}
+        assert commands == {"fig1a": "sweep", "fig1b": "sweep", "fig2a": "solve", "fig2b": "solve",
+                            "fig4a": "modes", "fig4b": "sweep", "fig5a": "solve", "fig5b": "solve"}
+        cfgs = {fig: cfg for fig, (_, cfg) in specs.items()}
         # decay-rate / survival figures: eta in {0.08, 0.5, 1.0} at omega_c = omega0
         for fig in ("fig2a", "fig5a"):
-            assert specs[fig]["values"] == (0.08, 0.5, 1.0)
-            assert specs[fig]["cfg"].omega_c == 1.0
-            assert specs[fig]["cfg"].n == 3.0
+            assert cfgs[fig].sweep == "eta"
+            assert cfgs[fig].sweep_values == (0.08, 0.5, 1.0)
+            assert cfgs[fig].omega_c == 1.0
+            assert cfgs[fig].n == 3.0
         # cutoff family: omega_c in {1, 2, 3} omega0 at eta = 0.08
         for fig in ("fig2b", "fig5b"):
-            assert specs[fig]["values"] == (1.0, 2.0, 3.0)
-            assert specs[fig]["cfg"].eta == 0.08
+            assert cfgs[fig].sweep == "omega_c"
+            assert cfgs[fig].sweep_values == (1.0, 2.0, 3.0)
+            assert cfgs[fig].eta == 0.08
         # density plots: r = 1 and omega_c = omega0 in (a); eta = 0.08 in (b)
-        assert specs["fig1a"]["cfg"].r == 1.0
-        assert specs["fig1a"]["cfg"].omega_c == 1.0
-        assert specs["fig1b"]["cfg"].eta == 0.08
+        assert cfgs["fig1a"].r == 1.0
+        assert cfgs["fig1a"].omega_c == 1.0
+        assert cfgs["fig1b"].eta == 0.08
         # cavity array: xi = 0.05, g = 0.02, N = 200; omega0/omega_C scan
         for fig in ("fig4a", "fig4b"):
-            cfg = specs[fig]["cfg"]
+            cfg = cfgs[fig]
             assert (cfg.g, cfg.xi, cfg.omega_C, cfg.N) == (0.02, 0.05, 1.0, 200)
-        assert specs["fig4b"]["cfg"].sweep_values == (0.8, 0.85, 0.9, 0.95)
-        assert specs["fig4a"]["values"] == (0.8, 0.85, 0.9, 0.95)
+            assert cfg.sweep == "omega0"
+            assert cfg.sweep_values == (0.8, 0.85, 0.9, 0.95)
 
-    def test_fig2a_caption_parameters(self, tmp_path):
-        out = tmp_path / "fig2a.csv"
-        assert main(["reproduce", "--figure", "fig2a", "--out", str(out)]) == 0
+    def test_fig2a_caption_parameters(self, fig2a_out):
         for eta in ("0.08", "0.5", "1.0"):
-            path = tmp_path / f"fig2a_eta_{eta}.csv"
+            path = fig2a_out.parent / f"fig2a_eta_{eta}.csv"
             assert path.exists()
             lines = path.read_text().splitlines()
             assert lines[0].startswith("t,u_re")
             assert len(lines) == 2502  # t_max = 50, 2500 steps
 
-    def test_fig4a_existence_flags(self, tmp_path):
-        out = tmp_path / "fig4a.csv"
-        assert main(["reproduce", "--figure", "fig4a", "--out", str(out)]) == 0
-        text = out.read_text()
+    def test_fig2a_point_is_a_cli_solve(self, fig2a_out, tmp_path):
+        expected = _lines((fig2a_out.parent / "fig2a_eta_0.5.csv").read_bytes())
+        assert _cli_point(tmp_path, "fig2a", "solve", ["--eta", "0.5"]) == expected
+
+    def test_fig5b_writes_one_file_per_cutoff(self, tmp_path, capsys):
+        out = tmp_path / "fig5b.csv"
+        assert main(["reproduce", "--figure", "fig5b", "--out", str(out)]) == 0
+        names = [f"fig5b_omega_c_{w}.csv" for w in ("1.0", "2.0", "3.0")]
+        assert capsys.readouterr().out.splitlines() == [str(tmp_path / name) for name in names]
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
+
+    def test_fig4a_existence_flags(self, fig4a_out):
+        text = fig4a_out.read_text()
         assert text.startswith("omega0,E,y\n")
         # freezing dichotomy: sizable residue for 0.8/0.85, negligible above
         z2 = {}
@@ -683,6 +751,16 @@ class TestReproduce:
                 z2[key] = float(line.split("Z2=")[1])
         assert z2["0.8"] > 0.5 and z2["0.85"] > 0.5
         assert z2["0.9"] < 0.5 and z2["0.95"] < 0.5
+
+    def test_fig4a_block_is_a_cli_modes_run(self, fig4a_out, tmp_path):
+        expected = [b"E,y\n"]
+        for line in _lines(fig4a_out.read_bytes()):
+            if line.startswith(b"0.85,"):
+                expected.append(line.removeprefix(b"0.85,"))
+            elif line.startswith(b"# omega0=0.85 "):
+                expected.append(b"# " + line.removeprefix(b"# omega0=0.85 "))
+        assert len(expected) > 300
+        assert _cli_point(tmp_path, "fig4a", "modes", ["--omega0", "0.85"]) == expected
 
 
 STARTUP_CHECK = """
