@@ -12,6 +12,7 @@ line on stderr and the exit code is 2.
 """
 
 import argparse
+import functools
 import sys
 
 from .gaussian import PhysicalityError
@@ -29,7 +30,10 @@ from .scenario import (
 )
 from .volterra import ConvergenceError
 
+
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no state."""
     parser = argparse.ArgumentParser(prog="gaussbath")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (

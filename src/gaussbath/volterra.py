@@ -17,29 +17,43 @@ of the Richardson value itself if that is smaller.
 The memory term is a causal convolution of the kernel with the solution
 computed so far.  It is accumulated by divide and conquer (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): once the first half of
-a block of steps is solved, its contribution to the second half is added with
-one FFT convolution, and blocks of at most 64 steps (leaves) are solved
-directly.  The kernel's spectrum is computed once per FFT size and solve.  A
-solve on M steps costs O(M log^2 M) instead of the O(M^2) of a full history
-sum at every step.
+a block of steps is solved, its contribution to the second half is added in
+one product, and the second half is solved.  A solve on M steps costs
+O(M log^2 M) instead of the O(M^2) of a full history sum at every step.
+There are three kinds of node:
 
-Inside a leaf the Heun steps are linear in the leaf's unknowns with
-coefficients that depend only on the lag, so every leaf after the first is
-a unit lower-triangular Toeplitz system.  Its inverse is computed once per
-solve, and each leaf is one matrix-vector product.  That product, its right
-side and the inverse are taken in np.clongdouble and rounded to complex128:
-in float64 the reassociated recurrence drifts from the step-by-step loop by
-about 7e-13 at M = 20000, against about 1e-14 in extended precision.  The
-platform's long double must therefore be 80-bit or wider, as it is on x86-64
-Linux; where it is plain float64 (MSVC builds and Apple-silicon macOS, for
-example) the test suite fails on that precondition.  The first leaf steps
-through the Heun loop, because its first step takes the rate at t = 0 as
-exactly zero instead of from the trapezoid formula.
+* Leaves, blocks of at most 64 steps, solve their steps directly.  Inside a
+  leaf the Heun steps are linear in the leaf's unknowns with coefficients
+  that depend only on the lag, so every leaf after the first is a unit
+  lower-triangular Toeplitz system.  Its inverse, with the map from the
+  known history to the right side folded in, is one 64 x 65 matrix built
+  once per solve, and each leaf is one mixed-precision add, one
+  matrix-vector product and one axpy.  They are taken in np.clongdouble and
+  rounded to complex128: in float64 the reassociated recurrence drifts from
+  the step-by-step loop by about 7e-13 at M = 20000, against about 1e-14 in
+  extended precision.  The platform's long double must therefore be 80-bit
+  or wider, as it is on x86-64 Linux; where it is plain float64 (MSVC
+  builds and Apple-silicon macOS, for example) the test suite fails on that
+  precondition.  The first leaf steps through the Heun loop, because its
+  first step takes the rate at t = 0 as exactly zero instead of from the
+  trapezoid formula.
+* Blocks of at most 384 steps add their left half's terms by one complex128
+  BLAS matrix-vector product with a view of a Toeplitz panel of the kernel,
+  built once per solve (at most 192 x 192, 0.6 MB).  Its cost grows as the
+  square of the block and that of two FFTs about linearly.  On a 2-vCPU
+  Xeon they break even between about 450 and 550 steps; the switch at 384
+  takes the clear wins (12-16 against 20-34 us at 312 steps) and keeps the
+  panel small.
+* Larger blocks add them by one FFT convolution whose length is the
+  smallest 2^a 3^b 5^c that holds the block, not the next power of two: a
+  block of 20000 steps is transformed at 20000 points, not 32768.  The
+  kernel's spectrum is computed once per FFT length and solve.
 
 The time-local decay rate Gamma(t) and frequency shift Omega(t) follow from
 Gamma + i*Omega = -u'(t)/u(t), estimated by finite differences.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +64,7 @@ from .spectra import evaluate_density, memory_kernel
 
 VALIDITY_FLOOR = 1e-8  # |u|^2 below this makes -u'/u numerically meaningless
 _BLOCK = 64  # steps below which a block sums its own history directly
+_DENSE = 384  # steps up to which a block adds its history by one matrix product
 _MAX_REFINEMENTS = 8  # step halvings before solve_amplitude gives up
 
 
@@ -119,12 +134,40 @@ def _heun_volterra(kernel, h):
     v[0] = 1.0
     # history[n] = sum_{m=1}^{n-1} v[m] * kernel[n - m], filled by _solve_block
     history = np.zeros(M + 1, dtype=np.complex128)
-    _solve_block(kernel, v, history, h, _leaf_system(kernel, h), {}, 0, M + 1)
+    leaf, panel = _leaf_system(kernel, h), _toeplitz_panel(kernel)
+    _solve_block(kernel, v, history, h, leaf, panel, {}, 0, M + 1)
     return v
 
 
+@functools.lru_cache(maxsize=256)
+def _fft_length(n):
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT splits into its fast radices."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _toeplitz_panel(kernel):
+    """Toeplitz panel P[i, j] = K[A + i - j] for the dense blocks' history.
+
+    A block of s <= S = min(M + 1, _DENSE) steps has a left half of
+    a <= A = S // 2 steps and a right half of b <= S - A steps, and the left
+    half's terms in the right half's history are P[:b, A - a:] @ v[left half].
+    The panel is a contiguous copy, so that view is one BLAS product.
+    """
+    span = min(kernel.shape[0], _DENSE)
+    windows = np.lib.stride_tricks.sliding_window_view(kernel[1:span], span // 2)
+    return windows[:, ::-1].copy()
+
+
 def _leaf_system(kernel, h):
-    """Inverse of the leaves' Toeplitz system and the scalars c, alpha, beta.
+    """The leaves' Toeplitz solve as one matrix product, in extended precision.
 
     With K = kernel and k0 = K[0], one Heun step from j to j + 1 (j >= 1)
     reads v[j+1] - alpha v[j] + c (beta H[j] + H[j+1]) = 0, where
@@ -132,9 +175,12 @@ def _leaf_system(kernel, h):
     H[n] = K[n]/2 + sum_{m=1}^{n-1} v[m] K[n-m].  Over v[lo:hi] the terms
     with m >= lo make a unit lower-triangular Toeplitz system whose first
     column is (1, -alpha + c K[1], c (beta K[d-1] + K[d]) for d >= 2).  Its
-    inverse is again lower-triangular Toeplitz; the leading L x L block of
-    the returned matrix inverts the system of a leaf of length L.
-    Everything is in extended precision.
+    inverse T is again lower-triangular Toeplitz.  The right side is
+    D @ known + alpha v[lo-1] e_0, where known = H[lo-1:hi] less the terms of
+    the leaf itself and D is bidiagonal with -c beta on the diagonal and -c
+    above it, so v[lo:hi] = G @ known + v[lo-1] alpha T[:, 0] with G = T D.
+    Returns G, alpha T[:, 0] and K/2; the leading L x (L + 1) block of G
+    serves a leaf of length L.  Everything is in extended precision.
     """
     size = min(_BLOCK, kernel.shape[0])
     k = kernel[:size].astype(np.clongdouble)
@@ -149,23 +195,32 @@ def _leaf_system(kernel, h):
     first[0] = 1.0
     for i in range(1, size):
         first[i] = -np.dot(column[1 : i + 1], first[i - 1 :: -1])
-    lag = np.subtract.outer(np.arange(size), np.arange(size))
-    inverse = np.where(lag >= 0, first[np.maximum(lag, 0)], 0)
-    return inverse, c, alpha, beta
+    # G[i, k] = g[i - k + 1] for k >= 1, with g[0] = -c and
+    # g[d + 1] = -c (beta T[d] + T[d + 1]); column 0 meets only the diagonal
+    # of D, G[i, 0] = -c beta T[i]
+    padded = np.append(first, 0)
+    g = np.concatenate([[-c], -c * (beta * padded[:-1] + padded[1:])])
+    lag = np.subtract.outer(np.arange(size), np.arange(-1, size))
+    fold = np.where(lag >= 0, g[np.maximum(lag, 0)], 0)
+    fold[:, 0] = -c * beta * first
+    return fold, alpha * first, 0.5 * kernel.astype(np.clongdouble)
 
 
-def _solve_block(kernel, v, history, h, leaf, spectra, lo, hi):
+def _solve_block(kernel, v, history, h, leaf, panel, spectra, lo, hi):
     """Fill v[lo:hi], given that history[lo:hi] holds every term from v[1:lo].
 
     A block of more than _BLOCK steps solves its left half, adds the left
-    half's terms to the right half's history with one FFT convolution, and
-    solves its right half.  ``spectra`` maps each FFT size to the spectrum
-    of kernel[:size], computed once per size.  The leaf at lo = 0 steps
-    through the Heun loop, which treats j = 0 apart.  Every later leaf
-    solves its unit lower-triangular Toeplitz system (see _leaf_system) by
-    one matrix-vector product with the inverse, in np.clongdouble, which
-    must be wider than float64 (see the module docstring).  After it,
-    history[hi - 1] is completed for the next leaf's first step.
+    half's terms to the right half's history, and solves its right half.  A
+    block of at most _DENSE steps adds them by one product with a view of the
+    Toeplitz ``panel``; a larger one by one FFT convolution, whose length is
+    the smallest 5-smooth number that holds the block.  ``spectra`` maps each
+    FFT length to the spectrum of kernel[:length], computed once per length.
+    The leaf at lo = 0 steps through the Heun loop, which treats j = 0
+    apart.  Every later leaf solves its unit lower-triangular Toeplitz system
+    (see _leaf_system) by one product with the folded matrix, in
+    np.clongdouble, which must be wider than float64 (see the module
+    docstring).  After it, history[hi - 1] is completed for the next leaf's
+    first step.
 
     A module-level function rather than a closure: a closure that calls
     itself is a reference cycle, which would keep the arrays alive until the
@@ -186,28 +241,33 @@ def _solve_block(kernel, v, history, h, leaf, spectra, lo, hi):
                 rate_next = -h * (0.5 * kernel[j + 1] * v[0] + history[j + 1] + half_k0 * pred)
                 v[j + 1] = v[j] + 0.5 * h * (rate + rate_next)
             return
-        inverse, c, alpha, beta = leaf
+        fold, carry, half_kernel = leaf
         length = hi - lo
-        known = 0.5 * kernel[lo - 1 : hi].astype(np.clongdouble) + history[lo - 1 : hi]
-        rhs = -c * (beta * known[:-1] + known[1:])
-        rhs[0] += alpha * v[lo - 1]
-        v[lo:hi] = np.dot(inverse[:length, :length], rhs)
+        known = half_kernel[lo - 1 : hi] + history[lo - 1 : hi]
+        step = np.dot(fold[:length, : length + 1], known)
+        step += v[lo - 1] * carry[:length]
+        v[lo:hi] = step
         history[hi - 1] += np.dot(v[lo : hi - 1], kernel[length - 1 : 0 : -1])
         return
     mid = (lo + hi) // 2
-    _solve_block(kernel, v, history, h, leaf, spectra, lo, mid)
-    # terms of v[first:mid] in history[mid:hi]; kernel terms past
-    # hi - first and the circular wrap-around of the FFT product only reach
-    # outputs outside [mid - first, hi - first), which are dropped, and the
-    # product is freed before the right half recurses
-    size = 1 << (hi - first - 1).bit_length()
-    if size not in spectra:
-        spectra[size] = np.fft.fft(kernel[:size], size)
-    spectrum = np.fft.fft(v[first:mid], size)
-    spectrum *= spectra[size]
-    history[mid:hi] += np.fft.ifft(spectrum)[mid - first : hi - first]
-    del spectrum
-    _solve_block(kernel, v, history, h, leaf, spectra, mid, hi)
+    _solve_block(kernel, v, history, h, leaf, panel, spectra, lo, mid)
+    if hi - lo <= _DENSE:
+        # matmul, not np.dot, which multiplies a strided view without BLAS
+        offset = panel.shape[1] - (mid - first)
+        history[mid:hi] += panel[: hi - mid, offset:] @ v[first:mid]
+    else:
+        # terms of v[first:mid] in history[mid:hi]; kernel terms past
+        # hi - first and the circular wrap-around of the FFT product only
+        # reach outputs outside [mid - first, hi - first), which are dropped,
+        # and the product is freed before the right half recurses
+        size = _fft_length(hi - first)
+        if size not in spectra:
+            spectra[size] = np.fft.fft(kernel[:size], size)
+        spectrum = np.fft.fft(v[first:mid], size)
+        spectrum *= spectra[size]
+        history[mid:hi] += np.fft.ifft(spectrum)[mid - first : hi - first]
+        del spectrum
+    _solve_block(kernel, v, history, h, leaf, panel, spectra, mid, hi)
 
 
 def _integrate(model, mode, t_max, steps):

@@ -90,19 +90,19 @@ def brute_force_discord(sigma, n_lam=800, n_theta=24):
     S1 = entropy_of(np.sqrt(np.linalg.det(alpha1)))
     S2 = entropy_of(np.sqrt(np.linalg.det(alpha2)))
     mutual = S1 + S2 - S_rho
-    best = np.inf
-    for theta in np.linspace(0.0, np.pi / 2, n_theta):
-        c, s = np.cos(theta), np.sin(theta)
-        R = np.array([[c, -s], [s, c]])
-        for lam in np.exp(np.linspace(np.log(1e-4), np.log(1e4), n_lam)):
-            seed = R @ np.diag([lam, 1.0 / lam]) @ R.T
-            cond = alpha1 - gamma @ np.linalg.inv(alpha2 + seed) @ gamma.T
-            det = np.linalg.det(cond)
-            if det < 1.0:
-                det = 1.0
-            val = entropy_of(np.sqrt(det))
-            if val < best:
-                best = val
+    theta = np.linspace(0.0, np.pi / 2, n_theta)
+    lam = np.exp(np.linspace(np.log(1e-4), np.log(1e4), n_lam))
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.moveaxis(np.array([[c, -s], [s, c]]), 2, 0)[:, None]  # (n_theta, 1, 2, 2)
+    diag = np.zeros((n_lam, 2, 2))
+    diag[:, 0, 0] = lam
+    diag[:, 1, 1] = 1.0 / lam
+    seed = R @ diag @ np.swapaxes(R, 2, 3)  # (n_theta, n_lam, 2, 2)
+    cond = alpha1 - gamma @ np.linalg.inv(alpha2 + seed) @ gamma.T
+    # the entropy increases with the determinant, so its minimum over the
+    # scan is the entropy of the smallest clamped determinant
+    det = np.maximum(np.linalg.det(cond), 1.0)
+    best = entropy_of(np.sqrt(det.min()))
     classical = S1 - best
     return mutual - classical, mutual
 

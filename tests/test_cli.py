@@ -425,6 +425,29 @@ class TestCliEndToEnd:
         assert main(["solve", "--config", str(config2), "--out", str(out2)]) == 0
         assert out.read_bytes() == out2.read_bytes()
 
+    def test_cached_parser_carries_nothing_between_calls(self, tmp_path):
+        # main reuses one parser per process; each call sees only its own
+        # command and flags
+        parser = _build_parser()
+        assert _build_parser() is parser
+        flagged = parser.parse_args(["solve", "--eta", "0.4", "--steps", "50", "--out", "a.csv"])
+        assert (flagged.command, flagged.eta, flagged.steps, flagged.out) == (
+            "solve", "0.4", "50", "a.csv"
+        )
+        plain = parser.parse_args(["modes", "--config", "run.cfg"])
+        assert (plain.command, plain.config, plain.out) == ("modes", "run.cfg", None)
+        assert all(getattr(plain, key) is None for key, (_, flag) in CONFIG_KEYS.items() if flag)
+        config = tmp_path / "run.cfg"
+        config.write_text("eta=0.2\nn=3\nomega_c=1.0\nt_max=5\nsteps=100\ntol=1e-4\n")
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert main(["solve", "--config", str(config), "--out", str(first)]) == 0
+        assert main(["modes", "--config", str(config), "--eta", "1.0", "--omega0", "1.5",
+                     "--out", str(tmp_path / "modes.csv")]) == 0
+        assert main(["solve", "--config", str(config), "--eta", "0.4", "--steps", "50",
+                     "--out", str(tmp_path / "flagged.csv")]) == 0
+        assert main(["solve", "--config", str(config), "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("eta=-1\nn=3\nomega_c=1.0\n")

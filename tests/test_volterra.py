@@ -3,6 +3,7 @@
 import functools
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gaussbath import (
     solve_amplitude,
 )
 from gaussbath.spectra import memory_kernel
-from gaussbath.volterra import _heun_volterra, _integrate
+from gaussbath.volterra import _fft_length, _heun_volterra, _integrate
 
 MODE = SystemMode(omega0=1.0)
 
@@ -97,19 +98,41 @@ class TestSolver:
         ids=["ohmic", "continuum", "ring4", "constant"],
     )
     def test_fast_history_matches_direct_loop(self, kernel_of, t_max):
-        # M spans one base block, its boundaries and several FFT levels
-        for M in (1, 2, 63, 64, 65, 127, 128, 129, 1000, 4097):
+        # M spans one base block, its boundaries, the switch from the dense
+        # product to the FFT, blocks with no 5-smooth length (257, 1025 and
+        # 2501 transform at 270, 1080 and 2560 points) and several FFT levels
+        for M in (1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 383, 384, 385,
+                  511, 512, 513, 1000, 1025, 2501, 4097):
             kernel = kernel_of(np.linspace(0.0, t_max, M + 1))
             fast = _heun_volterra(kernel, t_max / M)
             direct = direct_heun_volterra(kernel, t_max / M)
             assert np.abs(fast - direct).max() < 1e-13, M
 
     def test_production_size_matches_direct_loop(self):
-        # the depth the dressed eta = 1 Ohmic solve refines to in practice
-        M, t_max = 20000, 50.0
-        kernel = dressed(ohmic(1.0), 1.0)(np.linspace(0.0, t_max, M + 1))
-        fast = _heun_volterra(kernel, t_max / M)
-        assert np.abs(fast - direct_heun_volterra(kernel, t_max / M)).max() < 1e-13
+        # the depth the dressed eta = 1 Ohmic solve and the fig4b solve on
+        # the N = 200 ring refine to in practice
+        M = 20000
+        ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
+        for kernel_of, t_max in ((dressed(ohmic(1.0), 1.0), 50.0), (dressed(ring, 0.8), 500.0)):
+            kernel = kernel_of(np.linspace(0.0, t_max, M + 1))
+            fast = _heun_volterra(kernel, t_max / M)
+            assert np.abs(fast - direct_heun_volterra(kernel, t_max / M)).max() < 1e-13
+
+    def test_fft_length_is_smallest_5_smooth(self):
+        def is_5_smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        # walking down from 2 * 10^4 (itself 5-smooth), the last 5-smooth
+        # number seen is the smallest one >= n
+        above = None
+        for n in range(2 * 10**4, 0, -1):
+            if is_5_smooth(n):
+                above = n
+            if n <= 10**4:
+                assert _fft_length(n) == above, n
 
     @pytest.mark.parametrize("k0_h2", [0.5, 1.0, 2.0])
     def test_stiff_kernel_matches_direct_loop(self, k0_h2):
@@ -139,6 +162,20 @@ class TestSolver:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_solve_keeps_no_buffers(self):
+        # the Toeplitz panel, the folded leaf matrix and K/2 (over 1 MB
+        # together at M = 20000) live for one solve only; the first solve
+        # fills the process-wide caches (FFT plans, FFT lengths)
+        kernel = np.full(20001, 1.0 + 0j)
+        _heun_volterra(kernel, 0.01)
+        tracemalloc.start()
+        try:
+            v = _heun_volterra(kernel, 0.01)
+            retained = tracemalloc.get_traced_memory()[0] - v.nbytes
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
 
     def test_nonfinite_change_stops_refinement(self, monkeypatch):
         # finite parameters whose kernel overflows: the solve must stop at
