@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: solve, sweep, modes, oracle, reproduce.  Exit codes: 0 on
-success, 2 on configuration errors, 3 on numerical failure (non-convergence
-or an unphysical amplitude).
+success, 2 on configuration errors and unwritable output, 3 on numerical
+failure (non-convergence or an unphysical amplitude).
 
 Every flag of solve, sweep, modes and oracle sets one config key
 (``scenario.CONFIG_KEYS``) and overrides that key of the ``--config`` file.
@@ -78,6 +78,7 @@ def main(argv=None):
                 print(path)
             return 0
         cfg = _load_config(args)
+        failures = ()
         if args.command == "solve":
             header, rows = run_scenario(cfg)
         elif args.command == "oracle":
@@ -86,20 +87,23 @@ def main(argv=None):
             header, rows = run_modes(cfg)
         else:  # sweep
             header, rows, failures = run_sweep(cfg)
-            write_csv(out, header, rows)
-            print(out)
-            if failures:
-                manifest = out + ".failures"
-                with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
-                    for value, message in failures:
-                        fh.write(f"{value!r}: {message}\n")
+        write_csv(out, header, rows)
+        print(out)
+        if failures:
+            with open(out + ".failures", "w", encoding="utf-8", newline="\n") as fh:
                 for value, message in failures:
-                    print(f"sweep point {value!r} failed: {message}", file=sys.stderr)
-                return 3
-            return 0
+                    fh.write(f"{value!r}: {message}\n")
+            for value, message in failures:
+                print(f"sweep point {value!r} failed: {message}", file=sys.stderr)
+            return 3
+        return 0
     except ConfigError as exc:
         for problem in exc.errors:
             print(f"config error: {problem}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # every file read before the solve is a ConfigError, so this is a write
+        print(f"cannot write output {exc.filename or out!r}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
@@ -107,9 +111,6 @@ def main(argv=None):
     except PhysicalityError as exc:
         print(f"unphysical amplitude: {exc}", file=sys.stderr)
         return 3
-    write_csv(out, header, rows)
-    print(out)
-    return 0
 
 
 if __name__ == "__main__":

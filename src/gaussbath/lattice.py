@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._ranges import check
-from .spectra import CavityArraySpectrum
+from .spectra import CavityArraySpectrum, _mode_sum
 from .volterra import AmplitudeTrajectory, SystemMode, TimeGrid
 
 
@@ -59,12 +59,7 @@ def _spectral_data(chain):
 def exact_amplitude(chain, grid):
     """u(t_j) = sum_m |<sys|m>|^2 exp(-i lambda_m t_j) from full diagonalization."""
     lam, weights = _spectral_data(chain)
-    ts = grid.times()
-    u = np.empty(ts.shape, dtype=complex)
-    step = max(1, 2**22 // chain.dim)
-    for lo in range(0, len(ts), step):
-        blk = ts[lo : lo + step]
-        u[lo : lo + step] = np.exp(-1j * np.outer(blk, lam)) @ weights
+    u = _mode_sum(grid.times(), lam, weights)
     return AmplitudeTrajectory(grid=grid, u=u, dt_used=grid.dt, error_estimate=0.0)
 
 

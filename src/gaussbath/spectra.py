@@ -138,6 +138,19 @@ def _ring_matches_continuum(model, t_max):
     return log_tail < math.log(_RING_TAIL_TOL)
 
 
+def _mode_sum(ts, energies, weights):
+    """sum_m weights[m] exp(-i energies[m] t) at each t of the 1-d ``ts``.
+
+    Taken in chunks of rows, so a long time grid never holds its whole
+    (len(ts) x len(energies)) phase matrix at once.
+    """
+    out = np.empty(ts.shape, dtype=complex)
+    step = max(1, 2**22 // len(energies))
+    for lo in range(0, len(ts), step):
+        out[lo : lo + step] = np.exp(-1j * np.outer(ts[lo : lo + step], energies)) @ weights
+    return out
+
+
 def memory_kernel(model, t):
     """Memory kernel f(t) = int J(w) exp(-i w t) dw, in closed form.
 
@@ -174,14 +187,7 @@ def memory_kernel(model, t):
         else:
             # the band centre is factored out of the mode phases, so their
             # rounding grows with 2 xi t rather than with omega_C t
-            offsets = model._mode_offsets
-            flat = np.atleast_1d(ts)
-            total = np.empty(flat.shape, dtype=complex)
-            # chunked so large time grids do not allocate an (M x N) matrix at once
-            step = max(1, 2**22 // model.sites)
-            for lo in range(0, len(flat), step):
-                blk = flat[lo : lo + step]
-                total[lo : lo + step] = np.exp(-1j * np.outer(blk, offsets)).sum(axis=1)
+            total = _mode_sum(np.atleast_1d(ts), model._mode_offsets, np.ones(model.sites))
             out = carrier * (total.reshape(ts.shape) / model.sites)
     return complex(out) if np.isscalar(t) else out
 

@@ -16,44 +16,44 @@ of the Richardson value itself if that is smaller.
 
 The memory term is a causal convolution of the kernel with the solution
 computed so far.  It is accumulated by divide and conquer (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532): once the first half of
-a block of steps is solved, its contribution to the second half is added in
-one product, and the second half is solved.  A solve on M steps costs
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532), written as one loop
+over leaves of equal length L: once a block of leaves is solved, its
+contribution to the next block of the same length is added in one product.
+After leaf c, the block is its last 2^v leaves, where 2^v is the largest
+power of two dividing c, so the blocks form a binary tree of 2^k leaves
+without any recursion.  With 2^k the smallest power of two such that
+64 2^k >= M, L is the smallest of the 5-smooth numbers 36, 40, 45, 48, 50,
+54, 60, 64 (those in (32, 64]) with L 2^k >= M; the last leaf may be short.  A solve on M steps costs
 O(M log^2 M) instead of the O(M^2) of a full history sum at every step.
-There are three kinds of node:
+There are three kinds of product:
 
-* Leaves, blocks of at most 64 steps, solve their steps directly.  Inside a
-  leaf the Heun steps are linear in the leaf's unknowns with coefficients
-  that depend only on the lag, so every leaf after the first is a unit
-  lower-triangular Toeplitz system.  Its inverse, with the map from the
-  known history to the right side folded in, is one 64 x 65 matrix built
-  once per solve, and each leaf is one mixed-precision add, one
-  matrix-vector product and one axpy.  They are taken in np.clongdouble and
-  rounded to complex128: in float64 the reassociated recurrence drifts from
-  the step-by-step loop by about 7e-13 at M = 20000, against about 1e-14 in
-  extended precision.  The platform's long double must therefore be 80-bit
-  or wider, as it is on x86-64 Linux; where it is plain float64 (MSVC
-  builds and Apple-silicon macOS, for example) the test suite fails on that
-  precondition.  The first leaf steps through the Heun loop, because its
-  first step takes the rate at t = 0 as exactly zero instead of from the
-  trapezoid formula.
-* Blocks of at most 384 steps add their left half's terms by one complex128
-  BLAS matrix-vector product with a view of a Toeplitz panel of the kernel,
-  built once per solve (at most 192 x 192, 0.6 MB).  Its cost grows as the
-  square of the block and that of two FFTs about linearly.  On a 2-vCPU
-  Xeon they break even between about 450 and 550 steps; the switch at 384
-  takes the clear wins (12-16 against 20-34 us at 312 steps) and keeps the
-  panel small.
-* Larger blocks add them by one FFT convolution whose length is the
-  smallest 2^a 3^b 5^c that holds the block, not the next power of two: a
-  block of 20000 steps is transformed at 20000 points, not 32768.  The
-  kernel's spectrum is computed once per FFT length and solve.
+* Leaves solve their steps directly.  Inside a leaf the Heun steps are
+  linear in the leaf's unknowns with coefficients that depend only on the
+  lag, so every leaf after the first is a unit lower-triangular Toeplitz
+  system.  Its inverse, with the map from the known history to the right
+  side folded in, is one 64 x 65 matrix built once per solve, and each leaf
+  is one mixed-precision add, one matrix-vector product and one axpy.  They
+  are taken in np.clongdouble and rounded to complex128: in float64 the
+  reassociated recurrence drifts from the step-by-step loop by about 7e-13
+  at M = 20000, against about 1e-14 in extended precision.  The platform's
+  long double must therefore be 80-bit or wider, as it is on x86-64 Linux;
+  where it is plain float64 (MSVC builds and Apple-silicon macOS, for
+  example) the test suite fails on that precondition.  The first leaf steps
+  through the Heun loop, because its first step takes the rate at t = 0 as
+  exactly zero instead of from the trapezoid formula.
+* Blocks of at most 128 steps (one or two leaves) add their terms by one
+  complex128 BLAS matrix-vector product with a view of a 128 x 128 Toeplitz
+  panel of the kernel, built once per solve (256 kB).
+* Larger blocks add them by one FFT convolution at twice the block's
+  length.  That length is L 2^(v+1), a 5-smooth number that numpy's FFT
+  splits into its fast radices, and all blocks of one length share one
+  kernel spectrum: a solve at M = 20000 (L = 40) transforms the kernel
+  once at each of 320, 640, ..., 20480 points.
 
 The time-local decay rate Gamma(t) and frequency shift Omega(t) follow from
 Gamma + i*Omega = -u'(t)/u(t), estimated by finite differences.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,8 +63,10 @@ from ._ranges import check
 from .spectra import evaluate_density, memory_kernel
 
 VALIDITY_FLOOR = 1e-8  # |u|^2 below this makes -u'/u numerically meaningless
-_BLOCK = 64  # steps below which a block sums its own history directly
-_DENSE = 384  # steps up to which a block adds its history by one matrix product
+_BLOCK = 64  # longest leaf, solved by one matrix product
+# leaf lengths L: 5-smooth, so every FFT length L 2^k is one of numpy's fast ones
+_LEAF_LENGTHS = (36, 40, 45, 48, 50, 54, 60, 64)
+_DENSE = 128  # steps up to which a block adds its history by one matrix product
 _MAX_REFINEMENTS = 8  # step halvings before solve_amplitude gives up
 
 
@@ -127,42 +129,74 @@ def _heun_volterra(kernel, h):
 
     ``kernel`` holds the kernel sampled on the uniform grid j*h,
     j = 0 .. M; the returned array holds v on the same grid.
+
+    v[1:] is solved leaf by leaf, v[lo:hi] with lo = 1, 1 + L, ... (see the
+    module docstring).  Every leaf after the first solves its Toeplitz
+    system (see _leaf_system) and completes history[hi - 1] for the next
+    leaf's first step.  After leaf c, the block of its last c & -c leaves
+    adds its terms to the history of the same number of following steps.
     """
     kernel = np.ascontiguousarray(kernel, dtype=np.complex128)
     M = kernel.shape[0] - 1
     v = np.empty(M + 1, dtype=np.complex128)
     v[0] = 1.0
-    # history[n] = sum_{m=1}^{n-1} v[m] * kernel[n - m], filled by _solve_block
+    # history[n] = sum_{m=1}^{n-1} v[m] * kernel[n - m], filled leaf by leaf
     history = np.zeros(M + 1, dtype=np.complex128)
-    leaf, panel = _leaf_system(kernel, h), _toeplitz_panel(kernel)
-    _solve_block(kernel, v, history, h, leaf, panel, {}, 0, M + 1)
+    fold, carry, half_kernel = _leaf_system(kernel, h)
+    panel = _toeplitz_panel(kernel)
+    spectra = {}
+    leaves = 1 << (-(-M // _BLOCK) - 1).bit_length()
+    length = next(n for n in _LEAF_LENGTHS if n * leaves >= M)
+    for count, lo in enumerate(range(1, M + 1, length), start=1):
+        hi = min(lo + length, M + 1)
+        if lo == 1:
+            half_k0 = 0.5 * kernel[0]
+            for n in range(1, hi):
+                history[n] += np.dot(v[1:n], kernel[n - 1 : 0 : -1])
+                j = n - 1
+                if j == 0:
+                    rate = 0.0
+                else:
+                    rate = -h * (0.5 * kernel[j] * v[0] + history[j] + half_k0 * v[j])
+                pred = v[j] + h * rate
+                rate_next = -h * (0.5 * kernel[n] * v[0] + history[n] + half_k0 * pred)
+                v[n] = v[j] + 0.5 * h * (rate + rate_next)
+        else:
+            known = half_kernel[lo - 1 : hi] + history[lo - 1 : hi]
+            step = np.dot(fold[: hi - lo, : hi - lo + 1], known)
+            step += v[lo - 1] * carry[: hi - lo]
+            v[lo:hi] = step
+            history[hi - 1] += np.dot(v[lo : hi - 1], kernel[hi - lo - 1 : 0 : -1])
+        if hi > M:
+            break
+        size = length * (count & -count)
+        end = min(hi + size, M + 1)
+        if size <= _DENSE:
+            # matmul, not np.dot, which multiplies a strided view without BLAS
+            history[hi:end] += panel[: end - hi, _DENSE - size :] @ v[hi - size : hi]
+        else:
+            # kernel lags up to 2 size - 1 reach history[hi:end] without
+            # wrapping round the circular product
+            if size not in spectra:
+                spectra[size] = np.fft.fft(kernel[: 2 * size], 2 * size)
+            spectrum = np.fft.fft(v[hi - size : hi], 2 * size)
+            spectrum *= spectra[size]
+            history[hi:end] += np.fft.ifft(spectrum)[size : size + end - hi]
     return v
 
 
-@functools.lru_cache(maxsize=256)
-def _fft_length(n):
-    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT splits into its fast radices."""
-    best = 1 << (n - 1).bit_length()
-    odd5 = 1
-    while odd5 < best:
-        odd = odd5
-        while odd < best:
-            best = min(best, odd << (-(-n // odd) - 1).bit_length())
-            odd *= 3
-        odd5 *= 5
-    return best
-
-
 def _toeplitz_panel(kernel):
-    """Toeplitz panel P[i, j] = K[A + i - j] for the dense blocks' history.
+    """Toeplitz panel P[i, j] = K[_DENSE + i - j] of kernel lags 1 .. 2 _DENSE - 1.
 
-    A block of s <= S = min(M + 1, _DENSE) steps has a left half of
-    a <= A = S // 2 steps and a right half of b <= S - A steps, and the left
-    half's terms in the right half's history are P[:b, A - a:] @ v[left half].
-    The panel is a contiguous copy, so that view is one BLAS product.
+    A block of s <= _DENSE steps ending before step n adds its terms to
+    history[n:n + s] as P[:s, _DENSE - s:] @ v[n - s:n].  Lags past M only
+    meet history entries past M and are zero.  The panel is a contiguous
+    copy, so that view is one BLAS product.
     """
-    span = min(kernel.shape[0], _DENSE)
-    windows = np.lib.stride_tricks.sliding_window_view(kernel[1:span], span // 2)
+    head = kernel[: 2 * _DENSE]
+    lags = np.zeros(2 * _DENSE, dtype=np.complex128)
+    lags[: head.shape[0]] = head
+    windows = np.lib.stride_tricks.sliding_window_view(lags[1:], _DENSE)
     return windows[:, ::-1].copy()
 
 
@@ -204,70 +238,6 @@ def _leaf_system(kernel, h):
     fold = np.where(lag >= 0, g[np.maximum(lag, 0)], 0)
     fold[:, 0] = -c * beta * first
     return fold, alpha * first, 0.5 * kernel.astype(np.clongdouble)
-
-
-def _solve_block(kernel, v, history, h, leaf, panel, spectra, lo, hi):
-    """Fill v[lo:hi], given that history[lo:hi] holds every term from v[1:lo].
-
-    A block of more than _BLOCK steps solves its left half, adds the left
-    half's terms to the right half's history, and solves its right half.  A
-    block of at most _DENSE steps adds them by one product with a view of the
-    Toeplitz ``panel``; a larger one by one FFT convolution, whose length is
-    the smallest 5-smooth number that holds the block.  ``spectra`` maps each
-    FFT length to the spectrum of kernel[:length], computed once per length.
-    The leaf at lo = 0 steps through the Heun loop, which treats j = 0
-    apart.  Every later leaf solves its unit lower-triangular Toeplitz system
-    (see _leaf_system) by one product with the folded matrix, in
-    np.clongdouble, which must be wider than float64 (see the module
-    docstring).  After it, history[hi - 1] is completed for the next leaf's
-    first step.
-
-    A module-level function rather than a closure: a closure that calls
-    itself is a reference cycle, which would keep the arrays alive until the
-    cyclic garbage collector runs.
-    """
-    first = max(lo, 1)
-    if hi - lo <= _BLOCK:
-        if lo == 0:
-            half_k0 = 0.5 * kernel[0]
-            for n in range(first, hi):
-                history[n] += np.dot(v[first:n], kernel[n - first : 0 : -1])
-                j = n - 1
-                if j == 0:
-                    rate = 0.0
-                else:
-                    rate = -h * (0.5 * kernel[j] * v[0] + history[j] + half_k0 * v[j])
-                pred = v[j] + h * rate
-                rate_next = -h * (0.5 * kernel[j + 1] * v[0] + history[j + 1] + half_k0 * pred)
-                v[j + 1] = v[j] + 0.5 * h * (rate + rate_next)
-            return
-        fold, carry, half_kernel = leaf
-        length = hi - lo
-        known = half_kernel[lo - 1 : hi] + history[lo - 1 : hi]
-        step = np.dot(fold[:length, : length + 1], known)
-        step += v[lo - 1] * carry[:length]
-        v[lo:hi] = step
-        history[hi - 1] += np.dot(v[lo : hi - 1], kernel[length - 1 : 0 : -1])
-        return
-    mid = (lo + hi) // 2
-    _solve_block(kernel, v, history, h, leaf, panel, spectra, lo, mid)
-    if hi - lo <= _DENSE:
-        # matmul, not np.dot, which multiplies a strided view without BLAS
-        offset = panel.shape[1] - (mid - first)
-        history[mid:hi] += panel[: hi - mid, offset:] @ v[first:mid]
-    else:
-        # terms of v[first:mid] in history[mid:hi]; kernel terms past
-        # hi - first and the circular wrap-around of the FFT product only
-        # reach outputs outside [mid - first, hi - first), which are dropped,
-        # and the product is freed before the right half recurses
-        size = _fft_length(hi - first)
-        if size not in spectra:
-            spectra[size] = np.fft.fft(kernel[:size], size)
-        spectrum = np.fft.fft(v[first:mid], size)
-        spectrum *= spectra[size]
-        history[mid:hi] += np.fft.ifft(spectrum)[mid - first : hi - first]
-        del spectrum
-    _solve_block(kernel, v, history, h, leaf, panel, spectra, mid, hi)
 
 
 def _integrate(model, mode, t_max, steps):

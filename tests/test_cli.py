@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import errno
 import math
 import os
 import subprocess
@@ -618,6 +619,23 @@ class TestCliEndToEnd:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("config error: ") and str(missing) in err_lines[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--eta", "1", "--n", "3", "--omega-c", "1", "--tmax", "5", "--steps", "100"],
+            ["reproduce", "--figure", "fig4a"],
+        ],
+        ids=["solve", "reproduce"],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"cannot write output {str(out)!r}: {os.strerror(errno.ENOENT)}"
+        ]
+        assert captured.out == ""
 
     def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -20,7 +20,7 @@ from gaussbath import (
     solve_amplitude,
 )
 from gaussbath.spectra import memory_kernel
-from gaussbath.volterra import _fft_length, _heun_volterra, _integrate
+from gaussbath.volterra import _heun_volterra, _integrate
 
 MODE = SystemMode(omega0=1.0)
 
@@ -98,11 +98,13 @@ class TestSolver:
         ids=["ohmic", "continuum", "ring4", "constant"],
     )
     def test_fast_history_matches_direct_loop(self, kernel_of, t_max):
-        # M spans one base block, its boundaries, the switch from the dense
-        # product to the FFT, blocks with no 5-smooth length (257, 1025 and
-        # 2501 transform at 270, 1080 and 2560 points) and several FFT levels
-        for M in (1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 383, 384, 385,
-                  511, 512, 513, 1000, 1025, 2501, 4097):
+        # M spans one leaf, its boundaries, every leaf length L (36: 65, 129,
+        # 2049; 40: 2500; 45: 176, 350; 48: 383; 50: 100, 385; 54: 430;
+        # 60: 470; 64: 63, 1000), short last leaves (350, 2049, 2501), the
+        # switch from the dense product to the FFT and several FFT levels
+        for M in (1, 2, 63, 64, 65, 100, 127, 128, 129, 176, 255, 256, 257, 350,
+                  383, 384, 385, 430, 470, 511, 512, 513, 1000, 1025, 2049, 2500,
+                  2501, 4097):
             kernel = kernel_of(np.linspace(0.0, t_max, M + 1))
             fast = _heun_volterra(kernel, t_max / M)
             direct = direct_heun_volterra(kernel, t_max / M)
@@ -118,21 +120,21 @@ class TestSolver:
             fast = _heun_volterra(kernel, t_max / M)
             assert np.abs(fast - direct_heun_volterra(kernel, t_max / M)).max() < 1e-13
 
-    def test_fft_length_is_smallest_5_smooth(self):
-        def is_5_smooth(m):
-            for p in (2, 3, 5):
-                while m % p == 0:
-                    m //= p
-            return m == 1
+    def test_fft_lengths_double_level_by_level(self, monkeypatch):
+        # equal leaves give every block on a level the same length, so the
+        # solve transforms at one length per level: 2L, 4L, 8L, ...
+        lengths = []
+        fft = np.fft.fft
 
-        # walking down from 2 * 10^4 (itself 5-smooth), the last 5-smooth
-        # number seen is the smallest one >= n
-        above = None
-        for n in range(2 * 10**4, 0, -1):
-            if is_5_smooth(n):
-                above = n
-            if n <= 10**4:
-                assert _fft_length(n) == above, n
+        def recording(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return fft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recording)
+        _heun_volterra(np.full(20001, 1.0 + 0j), 0.01)
+        ladder = sorted(set(lengths))
+        assert len(ladder) > 1
+        assert all(b == 2 * a for a, b in zip(ladder, ladder[1:])), ladder
 
     @pytest.mark.parametrize("k0_h2", [0.5, 1.0, 2.0])
     def test_stiff_kernel_matches_direct_loop(self, k0_h2):
@@ -164,9 +166,9 @@ class TestSolver:
             gc.enable()
 
     def test_solve_keeps_no_buffers(self):
-        # the Toeplitz panel, the folded leaf matrix and K/2 (over 1 MB
-        # together at M = 20000) live for one solve only; the first solve
-        # fills the process-wide caches (FFT plans, FFT lengths)
+        # the Toeplitz panel, the folded leaf matrix, K/2 and the kernel
+        # spectra (1.7 MB together at M = 20000) live for one solve only;
+        # the first solve fills numpy's process-wide cache of FFT plans
         kernel = np.full(20001, 1.0 + 0j)
         _heun_volterra(kernel, 0.01)
         tracemalloc.start()
