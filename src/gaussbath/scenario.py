@@ -4,8 +4,12 @@ Configs are flat ``key=value`` text ('#' starts a comment, later keys
 override earlier ones, CLI flags override file values).  All outputs are
 plain CSV with a fixed column order and shortest round-trip float
 formatting, so identical configs reproduce byte-identical files.  Float
-columns are formatted in chunks of rows, one ``repr`` of a list per column
-and chunk, which writes every entry exactly as ``repr(float(x))`` would.
+columns are formatted in chunks of rows by ``orjson``'s shortest round-trip
+writer, one call per column and chunk.  Where ``repr`` writes plain
+decimals (0 and 1e-4 <= |x| < 1e16) both write the same shortest digits
+the same way; the other cells, whose ``repr`` has an exponent or is not
+finite, are written by ``repr(float(x))`` itself.  Every cell is therefore
+exactly ``repr(float(x))``.
 
 A run over several values of one key is a sweep: ``sweep=<key>`` and
 ``sweep_values=<v1,v2,...>``.  The canned figures are such configs too; one
@@ -251,13 +255,32 @@ def _solve(cfg):
     return solve_amplitude(build_model(cfg), SystemMode(omega0=cfg.omega0), grid, tol=cfg.tol)
 
 
+def _float_texts(values):
+    """repr(float(x)) of each entry of a float array, as a list of strings.
+
+    orjson writes the shortest round-trip digits of every finite double, and
+    lays them out as repr does wherever repr writes no exponent: 0 and
+    1e-4 <= |x| < 1e16, the same rule repr itself uses.  Outside that range
+    (where orjson writes 1e16 for repr's 1e+16, 0.00001 for 1e-05 and null
+    for nan or inf) the cells are overwritten by repr."""
+    # imported on first use, so importing gaussbath.cli does not pay for it
+    import orjson
+
+    values = np.ascontiguousarray(values, dtype=float)
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    size = np.abs(values)
+    plain = (size >= 1e-4) & (size < 1e16) | (values == 0)
+    for i in np.flatnonzero(~plain).tolist():
+        texts[i] = repr(float(values[i]))
+    return texts
+
+
 def _text_chunks(arrays):
     """Shortest round-trip text of equal-length float arrays, _CHUNK rows at
     a time: yields (lo, texts), one list of strings per array for the rows
-    from lo on.  The repr of a list of floats writes each as repr(float), so
-    one repr and one split per array and chunk give the same strings."""
+    from lo on, each string exactly repr(float(x)) (see _float_texts)."""
     for lo in range(0, len(arrays[0]), _CHUNK):
-        yield lo, [repr(a[lo : lo + _CHUNK].tolist())[1:-1].split(", ") for a in arrays]
+        yield lo, [_float_texts(a[lo : lo + _CHUNK]) for a in arrays]
 
 
 def _trajectory_rows(cfg, traj):
@@ -390,17 +413,16 @@ def run_modes(cfg):
     mode = SystemMode(omega0=cfg.omega0)
     rows = []
     for grid in _mode_sample_energies(model):
-        for E in grid:
-            rows.append(f"{_fmt(E)},{_fmt(spectral_function_y(model, mode, E))}")
+        ys = np.array([spectral_function_y(model, mode, E) for E in grid], dtype=float)
+        for _, (energies, values) in _text_chunks([grid, ys]):
+            rows.extend(map(",".join, zip(energies, values)))
     rows.extend(_mode_summary_lines(model, mode))
     return "E,y", rows
 
 
 def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write("\n".join([header, *rows]) + "\n")
 
 
 # ---------------------------------------------------------------------------

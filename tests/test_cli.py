@@ -248,6 +248,20 @@ class TestCsvText:
             for column, array in enumerate((a, b)):
                 cells = [text for _, texts in chunks for text in texts[column]]
                 assert cells == [repr(float(x)) for x in array]
+        # where repr switches between plain decimals and exponent notation
+        switch = [1e-4, np.nextafter(1e-4, 0), 0.00010000000000000002, 5e-5, 1e15,
+                  np.nextafter(1e16, 0), 9999999999999998.0, 1e16, 2.0**53]
+        # a non-contiguous view, random bit patterns (every exponent) and
+        # log-uniform values inside the plain-decimal range
+        u = rng.standard_normal(_CHUNK + 7) + 1j * rng.standard_normal(_CHUNK + 7)
+        bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64, endpoint=False).view(float)
+        bits = bits[np.isfinite(bits)][:200_000]
+        plain = 10.0 ** rng.uniform(-4.0, 16.0, 250_000) * rng.choice([-1.0, 1.0], 250_000)
+        plain = plain[(np.abs(plain) >= 1e-4) & (np.abs(plain) < 1e16)][:200_000]
+        assert len(bits) == len(plain) == 200_000
+        for array in (np.array(switch + [-x for x in switch]), u.real, bits, plain):
+            cells = [text for _, (texts,) in _text_chunks([array]) for text in texts]
+            assert cells == [repr(float(x)) for x in array]
 
     def test_rows_match_per_cell_repr(self):
         # 4601 rows: several full chunks and a partial one, with NA rates late on
@@ -807,6 +821,8 @@ class TestReproduce:
 STARTUP_CHECK = """
 import sys
 import gaussbath, gaussbath.cli
+# the CSV float writer is imported by the first formatted column, not here
+assert "orjson" not in sys.modules
 print(gaussbath.__file__)
 loaded = lambda: sorted({"scipy.optimize", "scipy.special"} & set(sys.modules))
 print(loaded())
