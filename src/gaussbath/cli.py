@@ -9,6 +9,11 @@ Every flag of solve, sweep, modes and oracle sets one config key
 Flag values are passed on as text and parsed and checked exactly like config
 lines: each problem with them, or with the file, is one ``config error:``
 line on stderr and the exit code is 2.
+
+Every subcommand comes down to a (command, config) pair: reproduce takes its
+figure's pair, the others their own name and the loaded config.  One runner,
+``scenario.run_command``, writes the files; main prints each written path and
+lists any failed sweep points in ``<out>.failures`` (exit code 3).
 """
 
 import argparse
@@ -20,13 +25,9 @@ from .scenario import (
     CONFIG_KEYS,
     FIGURES,
     ConfigError,
+    _figure_specs,
     parse_config,
-    reproduce,
-    run_modes,
-    run_oracle,
-    run_scenario,
-    run_sweep,
-    write_csv,
+    run_command,
 )
 from .volterra import ConvergenceError
 
@@ -73,22 +74,12 @@ def main(argv=None):
     out = args.out or f"{args.command}.csv"
     try:
         if args.command == "reproduce":
-            written = reproduce(args.figure, out)
-            for path in written:
-                print(path)
-            return 0
-        cfg = _load_config(args)
-        failures = ()
-        if args.command == "solve":
-            header, rows = run_scenario(cfg)
-        elif args.command == "oracle":
-            header, rows = run_oracle(cfg)
-        elif args.command == "modes":
-            header, rows = run_modes(cfg)
-        else:  # sweep
-            header, rows, failures = run_sweep(cfg)
-        write_csv(out, header, rows)
-        print(out)
+            command, cfg = _figure_specs()[args.figure]
+        else:
+            command, cfg = args.command, _load_config(args)
+        written, failures = run_command(command, cfg, out)
+        for path in written:
+            print(path)
         if failures:
             with open(out + ".failures", "w", encoding="utf-8", newline="\n") as fh:
                 for value, message in failures:

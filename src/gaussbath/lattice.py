@@ -11,20 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._ranges import check
-from .spectra import CavityArraySpectrum, _mode_sum
-from .volterra import AmplitudeTrajectory, SystemMode, TimeGrid
+from .spectra import _mode_sum
+from .volterra import AmplitudeTrajectory
 
 
 @dataclass(frozen=True, eq=False)
 class SingleExcitationChain:
     H: np.ndarray = field(repr=False)
-    topology: str
-    bath: CavityArraySpectrum
-    mode: SystemMode
-
-    @property
-    def dim(self):
-        return self.H.shape[0]
 
 
 def build_chain(bath, mode, topology="ring"):
@@ -48,7 +41,7 @@ def build_chain(bath, mode, topology="ring"):
         a, b = 1 + j, 1 + (j + 1) % N
         H[a, b] += bath.xi
         H[b, a] += bath.xi
-    return SingleExcitationChain(H=H, topology=topology, bath=bath, mode=mode)
+    return SingleExcitationChain(H=H)
 
 
 def _spectral_data(chain):

@@ -12,8 +12,10 @@ finite, are written by ``repr(float(x))`` itself.  Every cell is therefore
 exactly ``repr(float(x))``.
 
 A run over several values of one key is a sweep: ``sweep=<key>`` and
-``sweep_values=<v1,v2,...>``.  The canned figures are such configs too; one
-point loop serves the ``sweep`` command and every multi-run figure.
+``sweep_values=<v1,v2,...>``.  ``run_command`` runs any CLI command on any
+config and is the one place that writes CSV files; every command honours a
+sweep config.  The canned figures are (command, config) pairs handed to the
+same runner.
 """
 
 import dataclasses
@@ -53,27 +55,6 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    model: str
-    omega0: float = 1.0
-    r: float = 1.0
-    t_max: float = 50.0
-    steps: int = 5000
-    tol: float = 1e-5
-    topology: str = "ring"
-    eta: float | None = None
-    n: float | None = None
-    omega_c: float | None = None
-    omega_ref: float | None = None
-    g: float | None = None
-    xi: float | None = None
-    omega_C: float | None = None
-    N: int | None = None
-    sweep: str | None = None
-    sweep_values: tuple | None = None
-
-
 def _parse_sites(text):
     if text == "continuum":
         return None
@@ -87,26 +68,40 @@ def _parse_values(text):
     return values
 
 
-# every config key, in the order serialize_config writes them: the parser of
-# its text and its CLI flag (None for the keys only a config file sets)
+def _key(flag, parse=float, default=None):
+    """A config key: its default, the parser of its text and its CLI flag
+    (None for the keys only a config file sets)."""
+    return dataclasses.field(default=default, metadata={"parse": parse, "flag": flag})
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """One config; the fields are the config keys, in the order
+    serialize_config writes them."""
+
+    model: str = _key("--model", str, dataclasses.MISSING)
+    eta: float | None = _key("--eta")
+    n: float | None = _key("--n")
+    omega_c: float | None = _key("--omega-c")
+    omega_ref: float | None = _key("--omega-ref")
+    g: float | None = _key("--g")
+    xi: float | None = _key("--xi")
+    omega_C: float | None = _key("--omega-cavity")
+    N: int | None = _key("--sites", _parse_sites)
+    omega0: float = _key("--omega0", default=1.0)
+    r: float = _key("--r", default=1.0)
+    t_max: float = _key("--tmax", default=50.0)
+    steps: int = _key("--steps", int, 5000)
+    tol: float = _key("--tol", default=1e-5)
+    topology: str = _key("--topology", str, "ring")
+    sweep: str | None = _key(None, str)
+    sweep_values: tuple | None = _key(None, _parse_values)
+
+
+# every config key -> (the parser of its text, its CLI flag)
 CONFIG_KEYS = {
-    "model": (str, "--model"),
-    "eta": (float, "--eta"),
-    "n": (float, "--n"),
-    "omega_c": (float, "--omega-c"),
-    "omega_ref": (float, "--omega-ref"),
-    "g": (float, "--g"),
-    "xi": (float, "--xi"),
-    "omega_C": (float, "--omega-cavity"),
-    "N": (_parse_sites, "--sites"),
-    "omega0": (float, "--omega0"),
-    "r": (float, "--r"),
-    "t_max": (float, "--tmax"),
-    "steps": (int, "--steps"),
-    "tol": (float, "--tol"),
-    "topology": (str, "--topology"),
-    "sweep": (str, None),
-    "sweep_values": (_parse_values, None),
+    field.name: (field.metadata["parse"], field.metadata["flag"])
+    for field in dataclasses.fields(ScenarioConfig)
 }
 
 
@@ -316,7 +311,6 @@ def _require_ring(cfg, command):
 
 def run_scenario(cfg):
     """Solve one scenario; returns (header, row lines) for the solve CSV."""
-    _require_ring(cfg, "solve")
     return SOLVE_HEADER, _trajectory_rows(cfg, _solve(cfg))
 
 
@@ -331,8 +325,10 @@ def run_oracle(cfg):
 
 
 def _sweep_points(cfg):
-    """Yield (value, config of that point) for each value of cfg's sweep."""
-    for value in cfg.sweep_values:
+    """Yield (value, config of that point) for each value of cfg's sweep.
+    Values come as Python floats, whose repr in a failure line is their
+    shortest digits also where a canned figure holds numpy floats."""
+    for value in map(float, cfg.sweep_values):
         yield value, dataclasses.replace(cfg, sweep=None, sweep_values=None, **{cfg.sweep: value})
 
 
@@ -344,7 +340,6 @@ def run_sweep(cfg):
     """
     if cfg.sweep is None:
         raise ConfigError(["sweep requires a sweep parameter (sweep=...)"])
-    _require_ring(cfg, "sweep")
     header = "sweep_value,t,discord,u_abs2,log_neg"
     rows = []
     failures = []
@@ -408,7 +403,6 @@ def _mode_sample_energies(model):
 
 def run_modes(cfg):
     """(E, y(E)) samples outside the support plus a bound-mode summary block."""
-    _require_ring(cfg, "modes")
     model = build_model(cfg)
     mode = SystemMode(omega0=cfg.omega0)
     rows = []
@@ -423,6 +417,44 @@ def run_modes(cfg):
 def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([header, *rows]) + "\n")
+
+
+def run_command(command, cfg, out):
+    """Run one CLI command on ``cfg`` and write its CSV output.
+
+    ``out`` names the output file.  ``sweep`` writes its long-format CSV and
+    returns its failed points as (value, message) pairs; the other commands
+    let a failure propagate.  Given a sweep config, ``solve`` and ``oracle``
+    write one file per point, tagging the stem of ``out`` with the swept key
+    and value, and ``modes`` writes every point's rows into ``out``, tagged
+    with its value.  Returns (written paths, failures).
+    """
+    if command != "oracle":
+        _require_ring(cfg, command)
+    if command == "sweep":
+        header, rows, failures = run_sweep(cfg)
+        write_csv(out, header, rows)
+        return [out], failures
+    run = {"solve": run_scenario, "oracle": run_oracle, "modes": run_modes}[command]
+    if cfg.sweep is None:
+        write_csv(out, *run(cfg))
+        return [out], []
+    if command == "modes":
+        rows = []
+        for value, point in _sweep_points(cfg):
+            tag = _fmt(value)
+            summary = f"# {cfg.sweep}={tag} "
+            for row in run_modes(point)[1]:
+                rows.append(summary + row[2:] if row.startswith("#") else f"{tag},{row}")
+        write_csv(out, f"{cfg.sweep},E,y", rows)
+        return [out], []
+    stem = out.removesuffix(".csv")
+    written = []
+    for value, point in _sweep_points(cfg):
+        path = f"{stem}_{cfg.sweep}_{_fmt(value)}.csv"
+        write_csv(path, *run(point))
+        written.append(path)
+    return written, []
 
 
 # ---------------------------------------------------------------------------
@@ -459,37 +491,3 @@ def _figure_specs():
 
 
 FIGURES = tuple(sorted(_figure_specs()))
-
-
-def reproduce(figure, out):
-    """Emit the CSV data behind one of the published figures.
-
-    ``out`` names the output file.  A ``solve`` figure writes one file per
-    sweep point, tagging the stem with the swept key and value; a ``modes``
-    figure tags each point's rows with its value.  Returns the written paths.
-    """
-    specs = _figure_specs()
-    if figure not in specs:
-        raise ConfigError([f"unknown figure {figure!r}; choose from {FIGURES}"])
-    command, cfg = specs[figure]
-    if command == "sweep":
-        header, rows, failures = run_sweep(cfg)
-        if failures:
-            raise ConvergenceError(f"sweep points failed: {failures}", error_estimate=float("nan"))
-        write_csv(out, header, rows)
-        return [out]
-    if command == "solve":
-        stem = out.removesuffix(".csv")
-        written = []
-        for value, point in _sweep_points(cfg):
-            path = f"{stem}_{cfg.sweep}_{value!r}.csv"
-            write_csv(path, *run_scenario(point))
-            written.append(path)
-        return written
-    rows = []  # modes: every point's rows in one file, tagged with its value
-    for value, point in _sweep_points(cfg):
-        tag = _fmt(value)
-        for row in run_modes(point)[1]:
-            rows.append(f"# {cfg.sweep}={tag} {row[2:]}" if row.startswith("#") else f"{tag},{row}")
-    write_csv(out, f"{cfg.sweep},E,y", rows)
-    return [out]

@@ -145,7 +145,7 @@ def _mode_sum(ts, energies, weights):
     (len(ts) x len(energies)) phase matrix at once.
     """
     out = np.empty(ts.shape, dtype=complex)
-    step = max(1, 2**22 // len(energies))
+    step = max(1, 2**16 // len(energies))
     for lo in range(0, len(ts), step):
         out[lo : lo + step] = np.exp(-1j * np.outer(ts[lo : lo + step], energies)) @ weights
     return out

@@ -17,6 +17,7 @@ import gaussbath
 from gaussbath import (
     CavityArraySpectrum,
     ConfigError,
+    ConvergenceError,
     OhmicFamilySpectrum,
     SystemMode,
     decay_rates,
@@ -508,6 +509,21 @@ class TestCliEndToEnd:
         assert main(["solve", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 3
         assert "non-convergence" in capsys.readouterr().err
 
+    def test_sweep_failure_manifest(self, tmp_path, capsys):
+        # failed points leave the header-only CSV, one manifest line each and exit 3
+        config = tmp_path / "hard.cfg"
+        config.write_text("eta=0.1\nn=3\nomega_c=1.0\nt_max=5\nsteps=100\ntol=1e-14\n"
+                          "sweep=eta\nsweep_values=0.1,0.2\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 3
+        assert out.read_text() == "sweep_value,t,discord,u_abs2,log_neg\n"
+        first, second = (tmp_path / "sweep.csv.failures").read_text().splitlines()
+        assert first.startswith("0.1: no convergence")
+        assert second.startswith("0.2: no convergence")
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [str(out)]
+        assert captured.err.startswith("sweep point 0.1 failed: ")
+
     @pytest.mark.parametrize("command, solver", [("solve", "solve_amplitude"),
                                                  ("oracle", "exact_amplitude")])
     def test_unphysical_amplitude_exit_code(self, tmp_path, capsys, monkeypatch, command, solver):
@@ -542,6 +558,21 @@ class TestCliEndToEnd:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("t,u_re,u_im,u_abs2,")
         assert len(lines) == 202
+
+    def test_oracle_sweep_writes_one_file_per_point(self, tmp_path, capsys):
+        ring = ["--model", "array", "--g", "0.02", "--xi", "0.05", "--omega-cavity", "1.0",
+                "--sites", "8", "--tmax", "5", "--steps", "100"]
+        config = tmp_path / "sweep.cfg"
+        config.write_text("sweep=omega0\nsweep_values=0.8,0.95\n")
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle", "--config", str(config), *ring, "--out", str(out)]) == 0
+        names = ["oracle_omega0_0.8.csv", "oracle_omega0_0.95.csv"]
+        assert capsys.readouterr().out.splitlines() == [str(tmp_path / name) for name in names]
+        assert not out.exists()
+        for omega0, name in zip(("0.8", "0.95"), names):
+            plain = tmp_path / f"plain_{omega0}.csv"
+            assert main(["oracle", *ring, "--omega0", omega0, "--out", str(plain)]) == 0
+            assert (tmp_path / name).read_bytes() == plain.read_bytes()
 
     def test_oracle_requires_finite_lattice(self, tmp_path, capsys):
         code = main([
@@ -734,6 +765,14 @@ def _lines(data):
     return data.splitlines(keepends=True)
 
 
+def _figure_config(tmp_path, figure):
+    """The path of a config file holding ``figure``'s whole config, sweep included."""
+    _, cfg = _figure_specs()[figure]
+    config = tmp_path / f"{figure}.cfg"
+    config.write_text(serialize_config(cfg))
+    return config
+
+
 def _cli_point(tmp_path, figure, command, flags):
     """The CSV lines of a CLI run of ``figure``'s config without its sweep."""
     _, cfg = _figure_specs()[figure]
@@ -788,6 +827,18 @@ class TestReproduce:
         expected = _lines((fig2a_out.parent / "fig2a_eta_0.5.csv").read_bytes())
         assert _cli_point(tmp_path, "fig2a", "solve", ["--eta", "0.5"]) == expected
 
+    def test_fig2a_config_through_solve_is_the_figure(self, fig2a_out, tmp_path, capsys):
+        # reproduce runs its figure's config through the figure's command
+        capsys.readouterr()
+        out = tmp_path / "fig2a.csv"
+        assert main(["solve", "--config", str(_figure_config(tmp_path, "fig2a")),
+                     "--out", str(out)]) == 0
+        names = [f"fig2a_eta_{eta}.csv" for eta in ("0.08", "0.5", "1.0")]
+        assert capsys.readouterr().out.splitlines() == [str(tmp_path / name) for name in names]
+        for name in names:
+            expected = _lines((fig2a_out.parent / name).read_bytes())
+            assert _lines((tmp_path / name).read_bytes()) == expected
+
     def test_fig5b_writes_one_file_per_cutoff(self, tmp_path, capsys):
         out = tmp_path / "fig5b.csv"
         assert main(["reproduce", "--figure", "fig5b", "--out", str(out)]) == 0
@@ -806,6 +857,35 @@ class TestReproduce:
                 z2[key] = float(line.split("Z2=")[1])
         assert z2["0.8"] > 0.5 and z2["0.85"] > 0.5
         assert z2["0.9"] < 0.5 and z2["0.95"] < 0.5
+
+    def test_fig4a_config_through_modes_is_the_figure(self, fig4a_out, tmp_path):
+        out = tmp_path / "modes.csv"
+        assert main(["modes", "--config", str(_figure_config(tmp_path, "fig4a")),
+                     "--out", str(out)]) == 0
+        assert _lines(out.read_bytes()) == _lines(fig4a_out.read_bytes())
+
+    def test_sweep_figure_keeps_the_points_around_a_failure(self, tmp_path, capsys, monkeypatch):
+        from gaussbath import scenario
+
+        solve = scenario.solve_amplitude
+
+        def failing_at_0_9(model, mode, grid, **kwargs):
+            if mode.omega0 == 0.9:
+                raise ConvergenceError("no convergence (injected)", error_estimate=1.0)
+            return solve(model, mode, grid, **kwargs)
+
+        monkeypatch.setattr(scenario, "solve_amplitude", failing_at_0_9)
+        out = tmp_path / "fig4b.csv"
+        assert main(["reproduce", "--figure", "fig4b", "--out", str(out)]) == 3
+        lines = out.read_text().splitlines()
+        assert lines[0] == "sweep_value,t,discord,u_abs2,log_neg"
+        assert len(lines) == 1 + 3 * 10001
+        assert {line.split(",", 1)[0] for line in lines[1:]} == {"0.8", "0.85", "0.95"}
+        failures = (tmp_path / "fig4b.csv.failures").read_text()
+        assert failures == "0.9: no convergence (injected)\n"
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [str(out)]
+        assert captured.err.splitlines() == ["sweep point 0.9 failed: no convergence (injected)"]
 
     def test_fig4a_block_is_a_cli_modes_run(self, fig4a_out, tmp_path):
         expected = [b"E,y\n"]
