@@ -64,9 +64,12 @@ def _solve_root(h, lo, hi):
 def find_bound_mode(model, mode):
     """Locate every discrete root of y(E) = E outside the spectral support.
 
-    Ohmic family: at most one root, on the negative axis, existing iff
-    y(0) < 0.  Array: both sides of the support are searched; when several
-    roots exist the one with the largest residue is designated primary.
+    Ohmic family: at most one root, on the negative axis when y(0) < 0.
+    At y(0) = 0 the root is the band edge E_b = 0 itself, a bound mode with
+    Z = 1/(1 + int J/w^2 dw) when that integral is finite (n > 1) and none
+    when it diverges.  Array: both sides of the support are searched; when
+    several roots exist the one with the largest residue is designated
+    primary.
     """
     h = lambda E: spectral_function_y(model, mode, E) - E
     # each walk starts at edge and heads the way its unit points
@@ -86,6 +89,13 @@ def find_bound_mode(model, mode):
         if f_edge * unit > 0:
             E_b = _solve_root(h, *_bracket(h, edge, f_edge, unit))
             roots.append((float(E_b), _residue(model, E_b)))
+        elif f_edge == 0.0:
+            # a root on the edge itself is a bound mode when its residue's
+            # integral int J/(w - E)^2 converges there (Ohmic n > 1)
+            try:
+                roots.append((float(edge), _residue(model, edge)))
+            except ValueError:
+                pass
     if not roots:
         return BoundMode(exists=False)
     roots.sort(key=lambda item: -item[1])
@@ -95,12 +105,13 @@ def find_bound_mode(model, mode):
 
 def superohmic_criterion(eta, omega_c, omega0):
     """Closed-form n = 3 existence test at omega_ref = omega0: a bound mode
-    forms iff omega0 - 2*eta*omega_c^3/omega0^2 < 0.  Returns (exists, margin)."""
+    forms iff omega0 - 2*eta*omega_c^3/omega0^2 <= 0, at the band edge E = 0
+    when it is 0.  Returns (exists, margin)."""
     check(eta=eta, omega_c=omega_c, omega0=omega0)
     if eta == 0:
         raise ValueError("the n = 3 criterion needs eta > 0, got 0")
     margin = omega0 - 2.0 * eta * omega_c**3 / omega0**2
-    return margin < 0.0, margin
+    return margin <= 0.0, margin
 
 
 def steady_state_amplitude(model, mode):

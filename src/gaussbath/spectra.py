@@ -142,12 +142,23 @@ def _mode_sum(ts, energies, weights):
     """sum_m weights[m] exp(-i energies[m] t) at each t of the 1-d ``ts``.
 
     Taken in chunks of rows, so a long time grid never holds its whole
-    (len(ts) x len(energies)) phase matrix at once.
+    (len(ts) x len(energies)) phase matrix at once.  The phases of modes
+    with zero weight are left at 0 instead of computed (on a ring, the
+    reflection-odd modes have none on the system site); the product still
+    runs over every mode, so each sum keeps its terms and their order.
     """
+    visible = np.flatnonzero(weights)
     out = np.empty(ts.shape, dtype=complex)
     step = max(1, 2**16 // len(energies))
+    phases = np.zeros((min(step, len(ts)), len(energies)), dtype=complex)
     for lo in range(0, len(ts), step):
-        out[lo : lo + step] = np.exp(-1j * np.outer(ts[lo : lo + step], energies)) @ weights
+        rows = ts[lo : lo + step]
+        block = phases[: len(rows)]
+        if len(visible) == len(energies):
+            np.exp(-1j * np.outer(rows, energies), out=block)
+        else:
+            block[:, visible] = np.exp(-1j * np.outer(rows, energies[visible]))
+        out[lo : lo + step] = block @ weights
     return out
 
 

@@ -4,15 +4,18 @@ Solves u'(t) + i*omega0*u(t) + int_0^t f(t-s) u(s) ds = 0, u(0) = 1, where f
 is the reservoir memory kernel.  The integration happens in the frame
 rotating at omega0 (v = exp(i*omega0*t) * u obeys the same equation with the
 dressed kernel f(x)*exp(i*omega0*x) and no oscillatory drift term), which
-removes the bare phase from the discretization error; the scheme itself is a
-second-order Heun predictor-corrector with trapezoidal memory quadrature.
+removes the bare phase from the discretization error.  The scheme is the
+implicit trapezoid step v[n+1] = v[n] - (h/2) (I[n] + I[n+1]) on the
+trapezoidal memory sum I[n], with I[0] = 0.  It is symmetric, so its error
+is a series in even powers of the step (Linz, Analytical and Numerical
+Methods for Volterra Equations, SIAM 1985), and it is linear in v[n+1].
 
 ``solve_amplitude`` halves the step until the estimated error of what it
-returns is below ``tol``.  Being second order, the change between two
-levels is three times the error of the finer one, so each level returns
-the Richardson value u_fine + (u_fine - u_coarse)/3; its error estimate is
-that change divided by three, or, from the second halving on, the change
-of the Richardson value itself if that is smaller.
+returns is below ``tol``.  The ladder starts at half the output grid when
+that has an even number of intervals.  The first pair of levels returns the
+Richardson value u_fine + (u_fine - u_coarse)/3, the later ones the Romberg
+value that also removes the h^4 term; each error estimate is the size of
+the last term removed (see ``solve_amplitude``).
 
 The memory term is a causal convolution of the kernel with the solution
 computed so far.  It is accumulated by divide and conquer (Hairer, Lubich &
@@ -27,20 +30,25 @@ without any recursion.  With 2^k the smallest power of two such that
 O(M log^2 M) instead of the O(M^2) of a full history sum at every step.
 There are three kinds of product:
 
-* Leaves solve their steps directly.  Inside a leaf the Heun steps are
-  linear in the leaf's unknowns with coefficients that depend only on the
-  lag, so every leaf after the first is a unit lower-triangular Toeplitz
-  system.  Its inverse, with the map from the known history to the right
-  side folded in, is one 64 x 65 matrix built once per solve, and each leaf
-  is one mixed-precision add, one matrix-vector product and one axpy.  They
-  are taken in np.clongdouble and rounded to complex128: in float64 the
-  reassociated recurrence drifts from the step-by-step loop by about 7e-13
-  at M = 20000, against about 1e-14 in extended precision.  The platform's
-  long double must therefore be 80-bit or wider, as it is on x86-64 Linux;
-  where it is plain float64 (MSVC builds and Apple-silicon macOS, for
-  example) the test suite fails on that precondition.  The first leaf steps
-  through the Heun loop, because its first step takes the rate at t = 0 as
-  exactly zero instead of from the trapezoid formula.
+* Leaves solve their steps directly.  Inside a leaf the trapezoid steps
+  are linear in the leaf's unknowns with coefficients that depend only on
+  the lag, so every leaf after the first is a unit lower-triangular
+  Toeplitz system.  Its inverse, with the map from the known history to the
+  right side folded in, is one 64 x 65 matrix built once per solve, and
+  each leaf is one mixed-precision add, one matrix-vector product and one
+  axpy.  They are taken in np.clongdouble and rounded to complex128: in
+  float64 the reassociated recurrence drifts from the step-by-step loop by
+  up to about 2e-12 at M = 20000, against about 1e-14 in extended
+  precision.  The platform's long double must therefore be 80-bit or
+  wider, as it is on x86-64 Linux; where it is plain float64 (MSVC builds
+  and Apple-silicon macOS, for example) the test suite fails on that
+  precondition.  The first leaf steps through the loop in increment form,
+  v[n+1] = v[n] - c (I[n]/h + H[n+1] + K[0] v[n]/2) with
+  c = (h^2/2)/(1 + h^2 K[0]/4) and H as in _leaf_system: it starts from
+  I[0] = 0 instead of the leaves' formula, and it never forms the factor
+  (1 - h^2 K[0]/4)/(1 + h^2 K[0]/4) of v[n] in float64: a loop that
+  multiplies v[n] by it drifts from the extended-precision loop by up to
+  about 1e-12 at M = 20000, the increment form by about 6e-15.
 * Blocks of at most 128 steps (one or two leaves) add their terms by one
   complex128 BLAS matrix-vector product with a view of a 128 x 128 Toeplitz
   panel of the kernel, built once per solve (256 kB).
@@ -67,7 +75,7 @@ _BLOCK = 64  # longest leaf, solved by one matrix product
 # leaf lengths L: 5-smooth, so every FFT length L 2^k is one of numpy's fast ones
 _LEAF_LENGTHS = (36, 40, 45, 48, 50, 54, 60, 64)
 _DENSE = 128  # steps up to which a block adds its history by one matrix product
-_MAX_REFINEMENTS = 8  # step halvings before solve_amplitude gives up
+_MAX_REFINEMENTS = 8  # halvings past the output grid before solve_amplitude gives up
 
 
 class ConvergenceError(RuntimeError):
@@ -124,7 +132,7 @@ class DecayRateSeries:
     valid: np.ndarray = field(repr=False)
 
 
-def _heun_volterra(kernel, h):
+def _trapezoid_volterra(kernel, h):
     """Integrate v'(t) = -int_0^t kernel(t - s) v(s) ds with v(0) = 1.
 
     ``kernel`` holds the kernel sampled on the uniform grid j*h,
@@ -150,17 +158,16 @@ def _heun_volterra(kernel, h):
     for count, lo in enumerate(range(1, M + 1, length), start=1):
         hi = min(lo + length, M + 1)
         if lo == 1:
+            # the increment form of the module docstring; memory = I[n-1]/h
+            # and total = H[n], so that I[n]/h = H[n] + K[0] v[n]/2
             half_k0 = 0.5 * kernel[0]
+            c = 0.5 * h * h / (1 + half_k0 * (0.5 * h * h))
+            memory = 0.0
             for n in range(1, hi):
                 history[n] += np.dot(v[1:n], kernel[n - 1 : 0 : -1])
-                j = n - 1
-                if j == 0:
-                    rate = 0.0
-                else:
-                    rate = -h * (0.5 * kernel[j] * v[0] + history[j] + half_k0 * v[j])
-                pred = v[j] + h * rate
-                rate_next = -h * (0.5 * kernel[n] * v[0] + history[n] + half_k0 * pred)
-                v[n] = v[j] + 0.5 * h * (rate + rate_next)
+                total = 0.5 * kernel[n] + history[n]
+                v[n] = v[n - 1] - c * (memory + total + half_k0 * v[n - 1])
+                memory = total + half_k0 * v[n]
         else:
             known = half_kernel[lo - 1 : hi] + history[lo - 1 : hi]
             step = np.dot(fold[: hi - lo, : hi - lo + 1], known)
@@ -203,40 +210,42 @@ def _toeplitz_panel(kernel):
 def _leaf_system(kernel, h):
     """The leaves' Toeplitz solve as one matrix product, in extended precision.
 
-    With K = kernel and k0 = K[0], one Heun step from j to j + 1 (j >= 1)
-    reads v[j+1] - alpha v[j] + c (beta H[j] + H[j+1]) = 0, where
-    c = h^2/2, beta = 1 - k0 h^2/2, alpha = 1 - c k0 (1 - k0 h^2/4) and
-    H[n] = K[n]/2 + sum_{m=1}^{n-1} v[m] K[n-m].  Over v[lo:hi] the terms
-    with m >= lo make a unit lower-triangular Toeplitz system whose first
-    column is (1, -alpha + c K[1], c (beta K[d-1] + K[d]) for d >= 2).  Its
-    inverse T is again lower-triangular Toeplitz.  The right side is
-    D @ known + alpha v[lo-1] e_0, where known = H[lo-1:hi] less the terms of
-    the leaf itself and D is bidiagonal with -c beta on the diagonal and -c
-    above it, so v[lo:hi] = G @ known + v[lo-1] alpha T[:, 0] with G = T D.
-    Returns G, alpha T[:, 0] and K/2; the leading L x (L + 1) block of G
-    serves a leaf of length L.  Everything is in extended precision.
+    With K = kernel, k0 = K[0] and H[n] = K[n]/2 + sum_{m=1}^{n-1} v[m] K[n-m],
+    the trapezoid rate at step n >= 1 is I[n] = h (H[n] + k0 v[n]/2), and
+    one step v[j+1] = v[j] - (h/2) (I[j] + I[j+1]) from j >= 1 reads
+    v[j+1] - alpha v[j] + c (H[j] + H[j+1]) = 0, with
+    alpha = (1 - c0 k0/2)/(1 + c0 k0/2) and c = c0/(1 + c0 k0/2), c0 = h^2/2.
+    Over v[lo:hi] the terms with m >= lo make a unit lower-triangular
+    Toeplitz system whose first column is (1, -alpha + c K[1],
+    c (K[d-1] + K[d]) for d >= 2).  Its inverse T is again lower-triangular
+    Toeplitz.  The right side is D @ known + alpha v[lo-1] e_0, where
+    known = H[lo-1:hi] less the terms of the leaf itself and D is bidiagonal
+    with -c on the diagonal and above it, so
+    v[lo:hi] = G @ known + v[lo-1] alpha T[:, 0] with G = T D.  Returns G,
+    alpha T[:, 0] and K/2; the leading L x (L + 1) block of G serves a leaf
+    of length L.  Everything is in extended precision.
     """
     size = min(_BLOCK, kernel.shape[0])
     k = kernel[:size].astype(np.clongdouble)
-    c = np.longdouble(h) ** 2 / 2
-    beta = 1 - c * k[0]
-    alpha = 1 - c * k[0] * (1 - c * k[0] / 2)
+    half = np.longdouble(h) ** 2 / 4 * k[0]
+    alpha = (1 - half) / (1 + half)
+    c = np.longdouble(h) ** 2 / 2 / (1 + half)
     column = np.empty(size, dtype=np.clongdouble)
     column[0] = 1.0
     column[1:2] = c * k[1:2] - alpha
-    column[2:] = c * (beta * k[1:-1] + k[2:])
+    column[2:] = c * (k[1:-1] + k[2:])
     first = np.zeros(size, dtype=np.clongdouble)
     first[0] = 1.0
     for i in range(1, size):
         first[i] = -np.dot(column[1 : i + 1], first[i - 1 :: -1])
     # G[i, k] = g[i - k + 1] for k >= 1, with g[0] = -c and
-    # g[d + 1] = -c (beta T[d] + T[d + 1]); column 0 meets only the diagonal
-    # of D, G[i, 0] = -c beta T[i]
+    # g[d + 1] = -c (T[d] + T[d + 1]); column 0 meets only the diagonal
+    # of D, G[i, 0] = -c T[i]
     padded = np.append(first, 0)
-    g = np.concatenate([[-c], -c * (beta * padded[:-1] + padded[1:])])
+    g = np.concatenate([[-c], -c * (padded[:-1] + padded[1:])])
     lag = np.subtract.outer(np.arange(size), np.arange(-1, size))
     fold = np.where(lag >= 0, g[np.maximum(lag, 0)], 0)
-    fold[:, 0] = -c * beta * first
+    fold[:, 0] = -c * first
     return fold, alpha * first, 0.5 * kernel.astype(np.clongdouble)
 
 
@@ -245,46 +254,79 @@ def _integrate(model, mode, t_max, steps):
     h = t_max / steps
     ts = h * np.arange(steps + 1)
     dressed = memory_kernel(model, ts) * np.exp(1j * mode.omega0 * ts)
-    v = _heun_volterra(dressed, h)
+    v = _trapezoid_volterra(dressed, h)
     return v * np.exp(-1j * mode.omega0 * ts)
+
+
+def _midpoints(c):
+    """Values half way between the samples of ``c`` by 4-point interpolation.
+
+    Interior midpoints take (-c0 + 9 c1 + 9 c2 - c3)/16, the two outer ones
+    the one-sided cubic through the four end samples; two or three samples
+    are joined linearly.
+    """
+    if c.shape[0] < 4:
+        return 0.5 * (c[:-1] + c[1:])
+    mid = np.empty(c.shape[0] - 1, dtype=c.dtype)
+    mid[1:-1] = (9 * (c[1:-2] + c[2:-1]) - (c[:-3] + c[3:])) / 16
+    mid[0] = (5 * c[0] + 15 * c[1] - 5 * c[2] + c[3]) / 16
+    mid[-1] = (c[-4] - 5 * c[-3] + 15 * c[-2] + 5 * c[-1]) / 16
+    return mid
 
 
 def solve_amplitude(model, mode, grid, tol=1e-5):
     """Solve the amplitude equation on ``grid`` with step-halving refinement.
 
-    Level k integrates with dt = grid.dt / 2^k; u_k is that solution on the
-    requested grid and c_k = u_k - u_(k-1) its change from the level
-    before.  The scheme is second order, so the error of u_k is about c_k/3
-    and level k >= 1 yields the Richardson value R_k = u_k + c_k/3.  Its
-    error estimate is e_k = max|c_k|/3, the error of u_k, which R_k
-    removes; from k = 2 on it is tightened to min(e_k, max|R_k - R_(k-1)|).
-    The solver halves dt until e_k < ``tol`` and returns R_k, with
-    ``dt_used`` the finest dt and ``error_estimate`` e_k.  A level whose
-    change c_k is not finite stops the refinement.
+    The trapezoid step's error is a series in even powers of dt, so each
+    halving cuts its leading term fourfold and the next one sixteenfold.
+    The ladder starts at M/2 steps for an even number M = grid.steps of
+    output intervals and at M for an odd one; level k integrates twice the
+    steps of level k - 1, and u_k is its solution, compared with the level
+    before on the output points every level shares (the even ones when the
+    ladder starts at M/2).  The first pair gives the Richardson value
+    R_1 = u_1 + c/3 with c = u_1 - u_0, whose estimate is max|c|/3, the
+    error of u_1 that R_1 removes; at the odd output points c is carried
+    over from the even ones by 4-point interpolation.  From the second pair
+    on, R_k = u_k + (u_k - u_(k-1))/3 and the solver returns the Romberg
+    value S_k = R_k + (R_k - R_(k-1))/15 with the estimate
+    max|R_k - R_(k-1)|/15, the error of R_k that S_k removes.  It refines
+    until the estimate is below ``tol``, at most to M 2^8 steps, and
+    returns with ``dt_used`` the finest dt and ``error_estimate`` that
+    estimate.  A level whose change from the one before is not finite stops
+    the refinement.
     """
     check(tol=tol)
-    coarse = _integrate(model, mode, grid.t_max, grid.steps)
-    previous = None
+    M = grid.steps
+    stride = 2 - M % 2  # output intervals per interval of the coarsest level
+    start = _integrate(model, mode, grid.t_max, M // stride)
+    coarse = previous = None
     err = np.inf
-    for k in range(1, _MAX_REFINEMENTS + 1):
-        fine = _integrate(model, mode, grid.t_max, grid.steps << k)[:: 1 << k]
-        change = fine - coarse
+    for k in range(1, _MAX_REFINEMENTS + stride):
+        steps = (M // stride) << k
+        fine = _integrate(model, mode, grid.t_max, steps)[:: steps // M]
+        change = fine[::stride] - (start if coarse is None else coarse[::stride])
         largest = float(np.abs(change).max())
         if not math.isfinite(largest):
             raise ConvergenceError(
-                f"non-finite amplitude at {grid.steps << k} steps (change {largest})",
+                f"non-finite amplitude at {steps} steps (change {largest})",
                 error_estimate=largest,
             )
-        extrapolated = fine + change / 3
-        err = largest / 3
-        if previous is not None:
-            err = min(err, float(np.abs(extrapolated - previous).max()))
+        if coarse is None:
+            if stride == 2:
+                shared = change
+                change = np.empty(M + 1, dtype=complex)
+                change[::2] = shared
+                change[1::2] = _midpoints(shared)
+            value = extrapolated = fine + change / 3
+            err = largest / 3
+        else:
+            extrapolated = fine + (fine - coarse) / 3
+            romberg = extrapolated - previous
+            value = extrapolated + romberg / 15
+            err = float(np.abs(romberg[::stride]).max()) / 15
         if err < tol:
             return AmplitudeTrajectory(
-                grid=grid,
-                u=extrapolated,
-                dt_used=grid.t_max / (grid.steps << k),
-                error_estimate=err,
+                grid=grid, u=value, dt_used=grid.t_max / steps, error_estimate=err
             )
         coarse, previous = fine, extrapolated
     raise ConvergenceError(

@@ -3,8 +3,8 @@
 These deliberately avoid the package's own formula paths: the covariance
 oracle builds second moments directly from operator averages, and the
 discord oracle minimizes the conditional entropy over an explicit scan of
-Gaussian measurements.  The Volterra oracle is the direct Heun loop that
-sums the full memory history at every step, O(M^2), against which the
+Gaussian measurements.  The Volterra oracle is the direct trapezoid loop
+that sums the full memory history at every step, O(M^2), against which the
 solver's fast history sum is checked.  The ring-kernel oracle is the
 finite ring's mode sum taken term by term at every time, against which the
 kernel's continuum shortcut inside the light cone is checked.  The
@@ -107,28 +107,26 @@ def brute_force_discord(sigma, n_lam=800, n_theta=24):
     return mutual - classical, mutual
 
 
-def direct_heun_volterra(kernel, h):
+def direct_trapezoid_volterra(kernel, h, dtype=np.complex128):
     """Integrate v'(t) = -int_0^t kernel(t - s) v(s) ds with v(0) = 1.
 
-    The same Heun predictor-corrector as ``gaussbath.volterra``, with both
-    history sums of each step taken as direct dot products over the whole
-    past.
+    The same implicit trapezoid step as ``gaussbath.volterra``,
+    v[n+1] = v[n] - (h/2) (I[n] + I[n+1]) with I[0] = 0 and the trapezoid
+    memory sum I[n] taken as a direct dot product over the whole past, in
+    the same increment form.  ``dtype=np.clongdouble`` runs the loop in
+    extended precision.
     """
-    kernel = np.ascontiguousarray(kernel, dtype=np.complex128)
+    kernel = np.asarray(kernel).astype(dtype)
     M = kernel.shape[0] - 1
-    v = np.empty(M + 1, dtype=np.complex128)
+    v = np.empty(M + 1, dtype=dtype)
     v[0] = 1.0
-    half_k0 = 0.5 * kernel[0]
-    for j in range(M):
-        if j == 0:
-            rate = 0.0
-        else:
-            hist = np.dot(v[1:j], kernel[j - 1 : 0 : -1]) if j > 1 else 0.0
-            rate = -h * (0.5 * kernel[j] * v[0] + hist + half_k0 * v[j])
-        pred = v[j] + h * rate
-        hist_next = np.dot(v[1 : j + 1], kernel[j:0:-1]) if j >= 1 else 0.0
-        rate_next = -h * (0.5 * kernel[j + 1] * v[0] + hist_next + half_k0 * pred)
-        v[j + 1] = v[j] + 0.5 * h * (rate + rate_next)
+    half_k0 = kernel[0] / 2
+    c = dtype(h) ** 2 / 2 / (1 + half_k0 * dtype(h) ** 2 / 2)
+    memory = 0.0
+    for n in range(1, M + 1):
+        total = kernel[n] / 2 + (np.dot(v[1:n], kernel[n - 1 : 0 : -1]) if n > 1 else 0.0)
+        v[n] = v[n - 1] - c * (memory + total + half_k0 * v[n - 1])
+        memory = total + half_k0 * v[n]
     return v
 
 

@@ -99,6 +99,17 @@ class TestFindBoundMode:
         assert spectral_function_y(model, SystemMode(0.5), 0.0) == 0.0
         assert find_bound_mode(model, SystemMode(0.5)) == BoundMode(exists=False)
 
+    @pytest.mark.parametrize("n, eta, Z", [(3, 0.5, 2 / 3), (2, 1.0, 0.5)])
+    def test_exact_ohmic_threshold_forms_band_edge_mode(self, n, eta, Z):
+        # y(0) = 0 exactly and int J/w^2 dw = eta Gamma(n - 1) is finite for
+        # n > 1: the amplitude freezes at Z = 1/(1 + eta Gamma(n - 1))
+        model = OhmicFamilySpectrum(eta=eta, n=n, omega_c=1.0, omega_ref=1.0)
+        assert spectral_function_y(model, MODE, 0.0) == 0.0
+        bm = find_bound_mode(model, MODE)
+        assert bm.exists and bm.E_b == 0.0
+        assert bm.Z == pytest.approx(Z, rel=1e-15)
+        assert steady_state_amplitude(model, MODE) == pytest.approx(Z**2, rel=1e-15)
+
     def test_finite_lattice_roots_stay_outside_mode_range(self):
         spec = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
         eps = spec.mode_energies()
@@ -128,6 +139,14 @@ class TestSuperohmicCriterion:
         assert not superohmic_criterion(0.08, threshold - 1e-3, 1.0)[0]
         assert superohmic_criterion(0.08, threshold + 1e-3, 1.0)[0]
 
+    @pytest.mark.parametrize("eta", [0.5 - 1e-9, 0.5, 0.5 + 1e-9])
+    def test_criterion_and_root_finder_agree_at_the_threshold(self, eta):
+        exists, margin = superohmic_criterion(eta, 1.0, 1.0)
+        assert exists == (eta >= 0.5)
+        assert exists == find_bound_mode(ohmic(eta), MODE).exists
+        if eta == 0.5:
+            assert margin == 0.0
+
     def test_margin_arithmetic(self):
         exists, margin = superohmic_criterion(0.08, 1.0, 1.0)
         assert not exists
@@ -143,7 +162,7 @@ class TestSuperohmicCriterion:
             assert found == expected
 
     def test_general_n_existence_matches_value_at_zero(self):
-        # a bound mode exists iff y(0) < 0, i.e.
+        # off the threshold y(0) = 0, a bound mode exists iff y(0) < 0, i.e.
         # omega0 < eta Gamma(n) omega_c^n / omega_ref^(n-1)
         rng = np.random.default_rng(11)
         for _ in range(200):

@@ -337,7 +337,7 @@ class TestSweep:
 
     def test_failed_point_recorded_and_others_kept(self):
         cfg = parse_config(
-            "eta=0.1\nn=3\nomega_c=1.0\nt_max=5\nsteps=100\ntol=1e-14\n"
+            "eta=0.1\nn=3\nomega_c=1.0\nt_max=20\nsteps=64\ntol=1e-14\n"
             "sweep=eta\nsweep_values=0.1\n"
         )
         cfg = dataclasses.replace(cfg)
@@ -512,7 +512,7 @@ class TestCliEndToEnd:
     def test_sweep_failure_manifest(self, tmp_path, capsys):
         # failed points leave the header-only CSV, one manifest line each and exit 3
         config = tmp_path / "hard.cfg"
-        config.write_text("eta=0.1\nn=3\nomega_c=1.0\nt_max=5\nsteps=100\ntol=1e-14\n"
+        config.write_text("eta=0.1\nn=3\nomega_c=1.0\nt_max=20\nsteps=64\ntol=1e-14\n"
                           "sweep=eta\nsweep_values=0.1,0.2\n")
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 3
@@ -617,6 +617,14 @@ class TestCliEndToEnd:
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "--figure", "fig9z"])
         assert exc.value.code == 2
+
+    def test_modes_at_the_exact_ohmic_threshold(self, tmp_path):
+        # eta = 0.5 puts y(0) at 0 exactly; the amplitude freezes at 2/3
+        out = tmp_path / "modes.csv"
+        assert main(["modes", "--eta", "0.5", "--n", "3", "--omega-c", "1", "--out", str(out)]) == 0
+        summary = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert summary == ["# exists=true", "# E_b=0.0", "# Z=0.6666666666666666",
+                           "# Z2=0.4444444444444444", "# superohmic_margin=0.0"]
 
     def test_modes_at_zero_coupling(self, tmp_path):
         # the closed-form criterion needs eta > 0, so its margin line is left out

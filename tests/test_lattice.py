@@ -129,8 +129,9 @@ class TestOracleAgreement:
         ids=["ring8", "fig4b"],
     )
     def test_volterra_error_within_its_estimate(self, sites, omega0, t_max, steps):
-        # the Richardson value is far inside tol; the finest level alone is
-        # 5.5e-7 (N = 8) and 2.1e-6 (N = 200) off the lattice
+        # the returned value is within its estimate and far inside tol; the
+        # finest level alone is 2.2e-6 (N = 8) and 8.2e-6 (N = 200) off the
+        # lattice
         bath = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=sites)
         mode, grid = SystemMode(omega0=omega0), TimeGrid(t_max=t_max, steps=steps)
         solved = solve_amplitude(bath, mode, grid, tol=1e-3)

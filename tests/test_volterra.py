@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import direct_heun_volterra, ohmic_spectral_amplitude
+from conftest import direct_trapezoid_volterra, ohmic_spectral_amplitude
 
 from gaussbath import (
     CavityArraySpectrum,
@@ -20,7 +20,7 @@ from gaussbath import (
     solve_amplitude,
 )
 from gaussbath.spectra import memory_kernel
-from gaussbath.volterra import _heun_volterra, _integrate
+from gaussbath.volterra import _integrate, _midpoints, _trapezoid_volterra
 
 MODE = SystemMode(omega0=1.0)
 
@@ -32,6 +32,19 @@ def ohmic(eta, omega_c=1.0):
 def dressed(model, omega0):
     """Kernel sampler in the frame rotating at omega0, as the solver sees it."""
     return lambda ts: memory_kernel(model, ts) * np.exp(1j * omega0 * ts)
+
+
+@pytest.fixture
+def integrated_steps(monkeypatch):
+    """The step count of every fixed-step solve that solve_amplitude runs."""
+    steps = []
+
+    def counted(model, mode, t_max, n):
+        steps.append(n)
+        return _integrate(model, mode, t_max, n)
+
+    monkeypatch.setattr("gaussbath.volterra._integrate", counted)
+    return steps
 
 
 class TestSolver:
@@ -82,7 +95,7 @@ class TestSolver:
             errs = []
             for M in (500, 1000):
                 ts = np.linspace(0.0, t_max, M + 1)
-                v = _heun_volterra(np.full(M + 1, kappa, dtype=complex), t_max / M)
+                v = _trapezoid_volterra(np.full(M + 1, kappa, dtype=complex), t_max / M)
                 errs.append(np.abs(v - np.cos(np.sqrt(kappa) * ts)).max())
             assert errs[1] < bound
             assert errs[0] / errs[1] >= 3.9
@@ -106,8 +119,8 @@ class TestSolver:
                   383, 384, 385, 430, 470, 511, 512, 513, 1000, 1025, 2049, 2500,
                   2501, 4097):
             kernel = kernel_of(np.linspace(0.0, t_max, M + 1))
-            fast = _heun_volterra(kernel, t_max / M)
-            direct = direct_heun_volterra(kernel, t_max / M)
+            fast = _trapezoid_volterra(kernel, t_max / M)
+            direct = direct_trapezoid_volterra(kernel, t_max / M)
             assert np.abs(fast - direct).max() < 1e-13, M
 
     def test_production_size_matches_direct_loop(self):
@@ -117,8 +130,8 @@ class TestSolver:
         ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
         for kernel_of, t_max in ((dressed(ohmic(1.0), 1.0), 50.0), (dressed(ring, 0.8), 500.0)):
             kernel = kernel_of(np.linspace(0.0, t_max, M + 1))
-            fast = _heun_volterra(kernel, t_max / M)
-            assert np.abs(fast - direct_heun_volterra(kernel, t_max / M)).max() < 1e-13
+            fast = _trapezoid_volterra(kernel, t_max / M)
+            assert np.abs(fast - direct_trapezoid_volterra(kernel, t_max / M)).max() < 1e-13
 
     def test_fft_lengths_double_level_by_level(self, monkeypatch):
         # equal leaves give every block on a level the same length, so the
@@ -131,19 +144,25 @@ class TestSolver:
             return fft(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", recording)
-        _heun_volterra(np.full(20001, 1.0 + 0j), 0.01)
+        _trapezoid_volterra(np.full(20001, 1.0 + 0j), 0.01)
         ladder = sorted(set(lengths))
         assert len(ladder) > 1
         assert all(b == 2 * a for a, b in zip(ladder, ladder[1:])), ladder
 
     @pytest.mark.parametrize("k0_h2", [0.5, 1.0, 2.0])
     def test_stiff_kernel_matches_direct_loop(self, k0_h2):
-        # k0 h^2 of order one puts the leaf system's alpha and beta far from 1
+        # k0 h^2 of order one puts the leaf system's alpha far from 1.  The
+        # trapezoid step keeps |v| = 1 on a constant kernel, so rounding
+        # builds up over the run: from M = 1000 on, the float64 FFT history
+        # drifts by up to about 1.2e-12 and the float64 direct loop itself
+        # by up to about 2e-13, so the solve is checked against the direct
+        # loop in extended precision there
         h = 0.1
-        for M in (65, 129, 1000, 4097):
+        for M, dtype, bound in ((65, np.complex128, 1e-13), (129, np.complex128, 1e-13),
+                                (1000, np.clongdouble, 1e-11), (4097, np.clongdouble, 1e-11)):
             kernel = np.full(M + 1, k0_h2 / h**2, dtype=complex)
-            fast = _heun_volterra(kernel, h)
-            assert np.abs(fast - direct_heun_volterra(kernel, h)).max() < 1e-13, M
+            fast = _trapezoid_volterra(kernel, h)
+            assert np.abs(fast - direct_trapezoid_volterra(kernel, h, dtype)).max() < bound, M
 
     def test_long_double_is_extended_precision(self):
         # a platform precondition, not a fallback: the leaf blocks solve
@@ -151,7 +170,7 @@ class TestSolver:
         eps = np.finfo(np.longdouble).eps
         assert eps <= 1.1e-19, (
             "the Volterra leaf solve needs an 80-bit or wider long double: in "
-            "float64 it drifts from the direct Heun loop by about 7e-13 at "
+            "float64 it drifts from the direct loop by up to about 2e-12 at "
             f"M = 20000; this platform's np.longdouble has eps {eps}"
         )
 
@@ -160,7 +179,7 @@ class TestSolver:
         gc.collect()
         gc.disable()
         try:
-            _heun_volterra(np.full(1001, 1.0 + 0j), 0.01)
+            _trapezoid_volterra(np.full(1001, 1.0 + 0j), 0.01)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -170,30 +189,30 @@ class TestSolver:
         # spectra (1.7 MB together at M = 20000) live for one solve only;
         # the first solve fills numpy's process-wide cache of FFT plans
         kernel = np.full(20001, 1.0 + 0j)
-        _heun_volterra(kernel, 0.01)
+        _trapezoid_volterra(kernel, 0.01)
         tracemalloc.start()
         try:
-            v = _heun_volterra(kernel, 0.01)
+            v = _trapezoid_volterra(kernel, 0.01)
             retained = tracemalloc.get_traced_memory()[0] - v.nbytes
         finally:
             tracemalloc.stop()
         assert retained < 64 * 1024
 
-    def test_nonfinite_change_stops_refinement(self, monkeypatch):
+    def test_midpoints_are_exact_on_cubics(self):
+        # the first Richardson pair carries its correction to the odd output
+        # points by these 4-point rules, interior and one-sided
+        x = np.arange(7.0)
+        cubic = lambda x: 1 - 2j * x + 0.5 * x**2 - 0.25j * x**3
+        assert np.abs(_midpoints(cubic(x)) - cubic(x[:-1] + 0.5)).max() < 1e-12
+
+    def test_nonfinite_change_stops_refinement(self, integrated_steps):
         # finite parameters whose kernel overflows: the solve must stop at
         # the first level whose change is not finite
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _integrate(*args)
-
-        monkeypatch.setattr("gaussbath.volterra._integrate", counted)
         model = OhmicFamilySpectrum(eta=1e300, n=3, omega_c=1e10, omega_ref=1.0)
         with pytest.raises(ConvergenceError) as exc, np.errstate(all="ignore"):
             solve_amplitude(model, MODE, TimeGrid(10.0, 100))
         assert not math.isfinite(exc.value.error_estimate)
-        assert len(calls) <= 2
+        assert len(integrated_steps) <= 2
 
     def test_nonconvergence_raises_with_estimate(self):
         with pytest.raises(ConvergenceError) as exc:
@@ -210,15 +229,16 @@ def spectral_oracle(eta, omega_c):
 
 
 class TestOhmicSpectralOracle:
+    # eta = 0.5 is the exact threshold y(0) = 0: a band-edge pole at E = 0
     @pytest.mark.parametrize("tol", [1e-3, 1e-5])
-    @pytest.mark.parametrize("eta, omega_c", [(1.0, 1.0), (0.08, 2.0), (0.3, 1.0)])
+    @pytest.mark.parametrize("eta, omega_c", [(1.0, 1.0), (0.08, 2.0), (0.3, 1.0), (0.5, 1.0)])
     def test_error_within_estimate(self, eta, omega_c, tol):
         exact, _ = spectral_oracle(eta, omega_c)
         traj = solve_amplitude(ohmic(eta, omega_c), MODE, TimeGrid(50.0, 2500), tol=tol)
         err = np.abs(traj.u[::50] - exact).max()
         assert err <= traj.error_estimate < tol
 
-    @pytest.mark.parametrize("eta, omega_c", [(1.0, 1.0), (0.08, 2.0), (0.3, 1.0)])
+    @pytest.mark.parametrize("eta, omega_c", [(1.0, 1.0), (0.08, 2.0), (0.3, 1.0), (0.5, 1.0)])
     def test_oracle_starts_at_one(self, eta, omega_c):
         # the pole weight and the continuum integral sum to u(0) = 1
         exact, _ = spectral_oracle(eta, omega_c)
@@ -251,14 +271,34 @@ PLAIN_HALVING_STEPS = {
 
 class TestRefinementDepth:
     @pytest.mark.parametrize("eta, omega_c", [(1.0, 1.0), (0.08, 2.0)])
-    def test_benchmark_points_stop_at_10000_steps(self, eta, omega_c):
+    def test_benchmark_points_stop_at_5000_steps(self, eta, omega_c):
+        # the ladder 1250, 2500, 5000 stops on its first Romberg value
         traj = solve_amplitude(ohmic(eta, omega_c), MODE, TimeGrid(50.0, 2500), tol=1e-3)
-        assert traj.dt_used == 50.0 / 10000
+        assert traj.dt_used == 50.0 / 5000
 
     @pytest.mark.parametrize("eta, omega_c", sorted(PLAIN_HALVING_STEPS))
     def test_never_deeper_than_plain_halving(self, eta, omega_c):
         traj = solve_amplitude(ohmic(eta, omega_c), MODE, TimeGrid(50.0, 2500), tol=1e-3)
         assert round(50.0 / traj.dt_used) <= PLAIN_HALVING_STEPS[eta, omega_c]
+
+    def test_fig4b_point_integrates_5000_then_10000_steps(self, integrated_steps):
+        ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
+        traj = solve_amplitude(ring, SystemMode(omega0=0.8), TimeGrid(500.0, 10000), tol=1e-3)
+        assert integrated_steps == [5000, 10000]
+        assert traj.dt_used == 500.0 / 10000
+
+    def test_odd_steps_start_at_the_output_grid(self, integrated_steps):
+        solve_amplitude(ohmic(1.0), MODE, TimeGrid(50.0, 2501), tol=1e-3)
+        assert integrated_steps[:2] == [2501, 5002]
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_smallest_grids_give_finite_amplitudes(self, integrated_steps, count):
+        # TimeGrid admits two steps at least; two start the ladder at one step
+        traj = solve_amplitude(ohmic(0.3), MODE, TimeGrid(1.0, count), tol=1e-3)
+        assert integrated_steps[0] == (1 if count == 2 else 3)
+        assert traj.u.shape == (count + 1,)
+        assert np.isfinite(traj.u).all()
+        assert traj.u[0] == 1.0
 
 
 class TestDecayRates:
