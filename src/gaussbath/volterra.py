@@ -25,37 +25,35 @@ contribution to the next block of the same length is added in one product.
 After leaf c, the block is its last 2^v leaves, where 2^v is the largest
 power of two dividing c, so the blocks form a binary tree of 2^k leaves
 without any recursion.  With 2^k the smallest power of two such that
-64 2^k >= M, L is the smallest of the 5-smooth numbers 36, 40, 45, 48, 50,
-54, 60, 64 (those in (32, 64]) with L 2^k >= M; the last leaf may be short.  A solve on M steps costs
-O(M log^2 M) instead of the O(M^2) of a full history sum at every step.
-There are three kinds of product:
+128 2^k >= M, L is the smallest of the 5-smooth numbers 72, 75, 80, 81, 90,
+96, 100, 108, 120, 125, 128 (those in (64, 128]) with L 2^k >= M; the last
+leaf may be short.  A solve on M steps costs O(M log^2 M) instead of the
+O(M^2) of a full history sum at every step.  There are three kinds of
+product:
 
 * Leaves solve their steps directly.  Inside a leaf the trapezoid steps
   are linear in the leaf's unknowns with coefficients that depend only on
-  the lag, so every leaf after the first is a unit lower-triangular
-  Toeplitz system.  Its inverse, with the map from the known history to the
-  right side folded in, is one 64 x 65 matrix built once per solve, and
-  each leaf is one mixed-precision add, one matrix-vector product and one
-  axpy.  They are taken in np.clongdouble and rounded to complex128: in
-  float64 the reassociated recurrence drifts from the step-by-step loop by
-  up to about 2e-12 at M = 20000, against about 1e-14 in extended
-  precision.  The platform's long double must therefore be 80-bit or
-  wider, as it is on x86-64 Linux; where it is plain float64 (MSVC builds
-  and Apple-silicon macOS, for example) the test suite fails on that
-  precondition.  The first leaf steps through the loop in increment form,
-  v[n+1] = v[n] - c (I[n]/h + H[n+1] + K[0] v[n]/2) with
-  c = (h^2/2)/(1 + h^2 K[0]/4) and H as in _leaf_system: it starts from
-  I[0] = 0 instead of the leaves' formula, and it never forms the factor
-  (1 - h^2 K[0]/4)/(1 + h^2 K[0]/4) of v[n] in float64: a loop that
-  multiplies v[n] by it drifts from the extended-precision loop by up to
-  about 1e-12 at M = 20000, the increment form by about 6e-15.
-* Blocks of at most 128 steps (one or two leaves) add their terms by one
+  the lag, so every leaf is a unit lower-triangular Toeplitz system; the
+  first one too, because the history starts at H[0] = -K[0]/2, which makes
+  the leaf equation at step 0 the start I[0] = 0 (see _leaf_system).  The
+  system's inverse, with the map from the known history to the right side
+  folded in, is one L x (L + 1) matrix, and each leaf is one complex128
+  BLAS matrix-vector product and two adds.  The matrix is *built* once per
+  solve in np.clongdouble and rounded to complex128, and *applied* in
+  complex128: built in float64, the reassociated recurrence drifts from the
+  extended-precision step-by-step loop by up to about 2e-12 at M = 20000
+  (6.3e-13 on the Ohmic eta = 1 kernel, 2.2e-12 on the N = 200 ring),
+  built in extended precision by 3.9e-15 and 8.0e-16.  The platform's long
+  double must therefore be 80-bit or wider, as it is on x86-64 Linux;
+  where it is plain float64 (MSVC builds and Apple-silicon macOS, for
+  example) the test suite fails on that precondition.
+* Blocks of one leaf (at most 128 steps) add their terms by one
   complex128 BLAS matrix-vector product with a view of a 128 x 128 Toeplitz
   panel of the kernel, built once per solve (256 kB).
 * Larger blocks add them by one FFT convolution at twice the block's
   length.  That length is L 2^(v+1), a 5-smooth number that numpy's FFT
   splits into its fast radices, and all blocks of one length share one
-  kernel spectrum: a solve at M = 20000 (L = 40) transforms the kernel
+  kernel spectrum: a solve at M = 20000 (L = 80) transforms the kernel
   once at each of 320, 640, ..., 20480 points.
 
 The time-local decay rate Gamma(t) and frequency shift Omega(t) follow from
@@ -71,9 +69,8 @@ from ._ranges import check
 from .spectra import evaluate_density, memory_kernel
 
 VALIDITY_FLOOR = 1e-8  # |u|^2 below this makes -u'/u numerically meaningless
-_BLOCK = 64  # longest leaf, solved by one matrix product
 # leaf lengths L: 5-smooth, so every FFT length L 2^k is one of numpy's fast ones
-_LEAF_LENGTHS = (36, 40, 45, 48, 50, 54, 60, 64)
+_LEAF_LENGTHS = (72, 75, 80, 81, 90, 96, 100, 108, 120, 125, 128)
 _DENSE = 128  # steps up to which a block adds its history by one matrix product
 _MAX_REFINEMENTS = 8  # halvings past the output grid before solve_amplitude gives up
 
@@ -139,41 +136,33 @@ def _trapezoid_volterra(kernel, h):
     j = 0 .. M; the returned array holds v on the same grid.
 
     v[1:] is solved leaf by leaf, v[lo:hi] with lo = 1, 1 + L, ... (see the
-    module docstring).  Every leaf after the first solves its Toeplitz
-    system (see _leaf_system) and completes history[hi - 1] for the next
-    leaf's first step.  After leaf c, the block of its last c & -c leaves
-    adds its terms to the history of the same number of following steps.
+    module docstring).  Every leaf, the first included, solves its Toeplitz
+    system through the folded matrix of _leaf_system and completes
+    history[hi - 1] for the next leaf's first step.  After leaf c, the block
+    of its last c & -c leaves adds its terms to the history of the same
+    number of following steps.
     """
     kernel = np.ascontiguousarray(kernel, dtype=np.complex128)
     M = kernel.shape[0] - 1
     v = np.empty(M + 1, dtype=np.complex128)
     v[0] = 1.0
-    # history[n] = sum_{m=1}^{n-1} v[m] * kernel[n - m], filled leaf by leaf
-    history = np.zeros(M + 1, dtype=np.complex128)
-    fold, carry, half_kernel = _leaf_system(kernel, h)
+    # history[n] = H[n] = K[n]/2 + sum_{m=1}^{n-1} v[m] K[n - m], filled leaf
+    # by leaf; H[0] = -K[0]/2 makes the leaf equation at step 0 the start
+    # I[0] = 0 (see _leaf_system)
+    history = 0.5 * kernel
+    history[0] = -history[0]
     panel = _toeplitz_panel(kernel)
     spectra = {}
-    leaves = 1 << (-(-M // _BLOCK) - 1).bit_length()
+    leaves = 1 << (-(-M // _LEAF_LENGTHS[-1]) - 1).bit_length()
     length = next(n for n in _LEAF_LENGTHS if n * leaves >= M)
+    fold, drift = _leaf_system(kernel, h, min(length, M))
     for count, lo in enumerate(range(1, M + 1, length), start=1):
         hi = min(lo + length, M + 1)
-        if lo == 1:
-            # the increment form of the module docstring; memory = I[n-1]/h
-            # and total = H[n], so that I[n]/h = H[n] + K[0] v[n]/2
-            half_k0 = 0.5 * kernel[0]
-            c = 0.5 * h * h / (1 + half_k0 * (0.5 * h * h))
-            memory = 0.0
-            for n in range(1, hi):
-                history[n] += np.dot(v[1:n], kernel[n - 1 : 0 : -1])
-                total = 0.5 * kernel[n] + history[n]
-                v[n] = v[n - 1] - c * (memory + total + half_k0 * v[n - 1])
-                memory = total + half_k0 * v[n]
-        else:
-            known = half_kernel[lo - 1 : hi] + history[lo - 1 : hi]
-            step = np.dot(fold[: hi - lo, : hi - lo + 1], known)
-            step += v[lo - 1] * carry[: hi - lo]
-            v[lo:hi] = step
-            history[hi - 1] += np.dot(v[lo : hi - 1], kernel[hi - lo - 1 : 0 : -1])
+        step = fold[: hi - lo, : hi - lo + 1] @ history[lo - 1 : hi]
+        step += v[lo - 1] * drift[: hi - lo]
+        step += v[lo - 1]
+        v[lo:hi] = step
+        history[hi - 1] += np.dot(v[lo : hi - 1], kernel[hi - lo - 1 : 0 : -1])
         if hi > M:
             break
         size = length * (count & -count)
@@ -207,25 +196,48 @@ def _toeplitz_panel(kernel):
     return windows[:, ::-1].copy()
 
 
-def _leaf_system(kernel, h):
-    """The leaves' Toeplitz solve as one matrix product, in extended precision.
+def _series_inverse(a):
+    """First n coefficients of 1/a(z) for a power series a with a[0] = 1.
+
+    Newton doubling: if b is 1/a to m terms, b (1 - (a b - 1)) is 1/a to
+    2 m terms, and a b - 1 has no terms below z^m.
+    """
+    b = np.ones(1, dtype=a.dtype)
+    while b.shape[0] < a.shape[0]:
+        m = min(2 * b.shape[0], a.shape[0])
+        excess = np.convolve(a[:m], b)[b.shape[0] : m]
+        b = np.concatenate([b, -np.convolve(b, excess)[: m - b.shape[0]]])
+    return b
+
+
+def _leaf_system(kernel, h, size):
+    """The leaves' Toeplitz solve as one matrix product, built in extended precision.
 
     With K = kernel, k0 = K[0] and H[n] = K[n]/2 + sum_{m=1}^{n-1} v[m] K[n-m],
     the trapezoid rate at step n >= 1 is I[n] = h (H[n] + k0 v[n]/2), and
-    one step v[j+1] = v[j] - (h/2) (I[j] + I[j+1]) from j >= 1 reads
+    one step v[j+1] = v[j] - (h/2) (I[j] + I[j+1]) reads
     v[j+1] - alpha v[j] + c (H[j] + H[j+1]) = 0, with
     alpha = (1 - c0 k0/2)/(1 + c0 k0/2) and c = c0/(1 + c0 k0/2), c0 = h^2/2.
-    Over v[lo:hi] the terms with m >= lo make a unit lower-triangular
-    Toeplitz system whose first column is (1, -alpha + c K[1],
-    c (K[d-1] + K[d]) for d >= 2).  Its inverse T is again lower-triangular
-    Toeplitz.  The right side is D @ known + alpha v[lo-1] e_0, where
-    known = H[lo-1:hi] less the terms of the leaf itself and D is bidiagonal
-    with -c on the diagonal and above it, so
-    v[lo:hi] = G @ known + v[lo-1] alpha T[:, 0] with G = T D.  Returns G,
-    alpha T[:, 0] and K/2; the leading L x (L + 1) block of G serves a leaf
-    of length L.  Everything is in extended precision.
+    With H[0] = -k0/2 the same equation at j = 0 reads
+    v[1] = v[0]/(1 + c0 k0/2) - c H[1], the step from I[0] = 0, so the first
+    leaf is no different from the others.  Over v[lo:hi] the terms with
+    m >= lo make a unit lower-triangular Toeplitz system whose first column
+    is (1, -alpha + c K[1], c (K[d-1] + K[d]) for d >= 2).  Its inverse T is
+    again lower-triangular Toeplitz, the series inverse of that column.  The
+    right side is D @ known + alpha v[lo-1] e_0, where known = H[lo-1:hi]
+    less the terms of the leaf itself and D is bidiagonal with -c on the
+    diagonal and above it, so
+    v[lo:hi] = G @ known + v[lo-1] (alpha T[:, 0] - 1) + v[lo-1] with G = T D.
+
+    Returns G, contiguous and ``size`` x (``size`` + 1), and the drift
+    alpha T[:, 0] - 1, whose leading L x (L + 1) block and L entries serve a
+    leaf of length L <= ``size``.  Both are built in np.clongdouble and
+    rounded to complex128, and the leaves apply them in complex128: the
+    fold is the reassociated recurrence, and only building it needs the
+    extra bits.  The drift is kept apart from the 1 it adds to v[lo-1], so
+    that its rounding is relative to alpha T - 1, which vanishes with h, and
+    not to 1.
     """
-    size = min(_BLOCK, kernel.shape[0])
     k = kernel[:size].astype(np.clongdouble)
     half = np.longdouble(h) ** 2 / 4 * k[0]
     alpha = (1 - half) / (1 + half)
@@ -234,19 +246,17 @@ def _leaf_system(kernel, h):
     column[0] = 1.0
     column[1:2] = c * k[1:2] - alpha
     column[2:] = c * (k[1:-1] + k[2:])
-    first = np.zeros(size, dtype=np.clongdouble)
-    first[0] = 1.0
-    for i in range(1, size):
-        first[i] = -np.dot(column[1 : i + 1], first[i - 1 :: -1])
+    first = _series_inverse(column)
     # G[i, k] = g[i - k + 1] for k >= 1, with g[0] = -c and
     # g[d + 1] = -c (T[d] + T[d + 1]); column 0 meets only the diagonal
     # of D, G[i, 0] = -c T[i]
-    padded = np.append(first, 0)
-    g = np.concatenate([[-c], -c * (padded[:-1] + padded[1:])])
-    lag = np.subtract.outer(np.arange(size), np.arange(-1, size))
-    fold = np.where(lag >= 0, g[np.maximum(lag, 0)], 0)
+    g = np.zeros(2 * size - 1, dtype=np.complex128)
+    g[size - 1] = -c
+    g[size:] = -c * (first[:-1] + first[1:])
+    fold = np.empty((size, size + 1), dtype=np.complex128)
     fold[:, 0] = -c * first
-    return fold, alpha * first, 0.5 * kernel.astype(np.clongdouble)
+    fold[:, 1:] = np.lib.stride_tricks.sliding_window_view(g, size)[:, ::-1]
+    return fold, (alpha * first - 1).astype(np.complex128)
 
 
 def _integrate(model, mode, t_max, steps):

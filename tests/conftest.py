@@ -113,8 +113,11 @@ def direct_trapezoid_volterra(kernel, h, dtype=np.complex128):
     The same implicit trapezoid step as ``gaussbath.volterra``,
     v[n+1] = v[n] - (h/2) (I[n] + I[n+1]) with I[0] = 0 and the trapezoid
     memory sum I[n] taken as a direct dot product over the whole past, in
-    the same increment form.  ``dtype=np.clongdouble`` runs the loop in
-    extended precision.
+    increment form: v[n] = v[n-1] - c (I[n-1]/h + H[n] + K[0] v[n-1]/2)
+    with c = (h^2/2)/(1 + h^2 K[0]/4) and H[n] = I[n]/h - K[0] v[n]/2, so
+    that the factor (1 - h^2 K[0]/4)/(1 + h^2 K[0]/4) of v[n-1] is never
+    formed.
+    ``dtype=np.clongdouble`` runs the loop in extended precision.
     """
     kernel = np.asarray(kernel).astype(dtype)
     M = kernel.shape[0] - 1

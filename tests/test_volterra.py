@@ -20,7 +20,7 @@ from gaussbath import (
     solve_amplitude,
 )
 from gaussbath.spectra import memory_kernel
-from gaussbath.volterra import _integrate, _midpoints, _trapezoid_volterra
+from gaussbath.volterra import _integrate, _leaf_system, _midpoints, _trapezoid_volterra
 
 MODE = SystemMode(omega0=1.0)
 
@@ -111,13 +111,16 @@ class TestSolver:
         ids=["ohmic", "continuum", "ring4", "constant"],
     )
     def test_fast_history_matches_direct_loop(self, kernel_of, t_max):
-        # M spans one leaf, its boundaries, every leaf length L (36: 65, 129,
-        # 2049; 40: 2500; 45: 176, 350; 48: 383; 50: 100, 385; 54: 430;
-        # 60: 470; 64: 63, 1000), short last leaves (350, 2049, 2501), the
-        # switch from the dense product to the FFT and several FFT levels
-        for M in (1, 2, 63, 64, 65, 100, 127, 128, 129, 176, 255, 256, 257, 350,
-                  383, 384, 385, 430, 470, 511, 512, 513, 1000, 1025, 2049, 2500,
-                  2501, 4097):
+        # M spans one leaf (1 to 128), every leaf length L (72: 65, 129, 257,
+        # 513, 1025, 2049, 4097; 75: 150, 298; 80: 2500, 2501; 81: 322;
+        # 90: 176, 350; 96: 383, 384; 100: 100, 385; 108: 430; 120: 470;
+        # 125: 1000; 128: 127, 128 and 128 2^k - 1, 128 2^k), the boundaries
+        # 128 2^k +- 1 where the number of leaves doubles, short last leaves
+        # (129, 298, 322, 350, 1023, 2049, 2501, 4095 and more), the switch
+        # from the dense product to the FFT and several FFT levels
+        for M in (1, 2, 63, 64, 65, 100, 127, 128, 129, 150, 176, 255, 256, 257,
+                  298, 322, 350, 383, 384, 385, 430, 470, 511, 512, 513, 1000,
+                  1023, 1024, 1025, 2047, 2048, 2049, 2500, 2501, 4095, 4096, 4097):
             kernel = kernel_of(np.linspace(0.0, t_max, M + 1))
             fast = _trapezoid_volterra(kernel, t_max / M)
             direct = direct_trapezoid_volterra(kernel, t_max / M)
@@ -132,6 +135,64 @@ class TestSolver:
             kernel = kernel_of(np.linspace(0.0, t_max, M + 1))
             fast = _trapezoid_volterra(kernel, t_max / M)
             assert np.abs(fast - direct_trapezoid_volterra(kernel, t_max / M)).max() < 1e-13
+
+    def test_production_size_matches_extended_loop(self):
+        # the finest level of a fig4b point and a level of the eta = 1 Ohmic
+        # ladder, against the direct loop in extended precision: the float64
+        # leaves stay within 4.4e-15 of it, the float64 direct loop within
+        # 4.3e-15
+        M = 10000
+        ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
+        for kernel_of, t_max in ((dressed(ohmic(1.0), 1.0), 50.0), (dressed(ring, 0.8), 500.0)):
+            kernel = kernel_of(np.linspace(0.0, t_max, M + 1))
+            fast = _trapezoid_volterra(kernel, t_max / M)
+            exact = direct_trapezoid_volterra(kernel, t_max / M, np.clongdouble)
+            assert np.abs(fast - exact).max() < 2e-14
+
+    @pytest.mark.parametrize(
+        "kernel_of, t_max",
+        [
+            (dressed(OhmicFamilySpectrum(eta=1.0, n=3, omega_c=1.0, omega_ref=1.0), 1.0), 0.05),
+            (dressed(CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200), 0.8), 0.5),
+            (lambda ts: np.full(ts.shape, 0.25 + 0.5j), 0.1),
+        ],
+        ids=["ohmic", "ring", "constant"],
+    )
+    def test_single_step_is_the_closed_form(self, kernel_of, t_max):
+        # M = 1 is one leaf of one step from I[0] = 0:
+        # v[1] = (1 - (h^2/2) (K[1]/2)) / (1 + h^2 K[0]/4)
+        kernel = kernel_of(np.array([0.0, t_max]))
+        k = kernel.astype(np.clongdouble)
+        h = np.longdouble(t_max)
+        closed = (1 - h**2 / 2 * (k[1] / 2)) / (1 + h**2 * k[0] / 4)
+        v = _trapezoid_volterra(kernel, t_max)
+        assert v[0] == 1.0
+        assert abs(v[1] - closed) <= 1e-16
+
+    @pytest.mark.parametrize("lead", [1.0, 0.6 - 0.8j])
+    def test_leaf_system_steps_the_recurrence(self, lead):
+        # one leaf of 80 steps through the fold and the drift, applied in
+        # complex128, against v[j+1] = alpha v[j] - c (H[j] + H[j+1]) stepped
+        # in extended precision, H[j] taking the leaf's own terms as it goes;
+        # |v| is near 1, so the bound is a few of its ulps
+        L, h = 80, 0.05
+        ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
+        kernel = dressed(ring, 0.8)(h * np.arange(L + 1))
+        known = 0.5 * kernel[::-1] + 0.3j * np.cos(np.arange(L + 1.0))
+        fold, drift = _leaf_system(kernel, h, L)
+        assert fold.shape == (L, L + 1) and fold.flags.c_contiguous
+        fast = fold @ known + lead * drift + lead
+
+        k = kernel.astype(np.clongdouble)
+        half = np.longdouble(h) ** 2 / 4 * k[0]
+        alpha, c = (1 - half) / (1 + half), np.longdouble(h) ** 2 / 2 / (1 + half)
+        v = np.zeros(L + 1, dtype=np.clongdouble)
+        v[0] = lead
+        total = known.astype(np.clongdouble)
+        for j in range(L):
+            total[j + 1] += np.dot(v[1 : j + 1], k[j:0:-1])
+            v[j + 1] = alpha * v[j] - c * (total[j] + total[j + 1])
+        assert np.abs(fast - v[1:]).max() < 4e-16
 
     def test_fft_lengths_double_level_by_level(self, monkeypatch):
         # equal leaves give every block on a level the same length, so the
@@ -165,13 +226,16 @@ class TestSolver:
             assert np.abs(fast - direct_trapezoid_volterra(kernel, h, dtype)).max() < bound, M
 
     def test_long_double_is_extended_precision(self):
-        # a platform precondition, not a fallback: the leaf blocks solve
-        # their Toeplitz systems in np.clongdouble
+        # a platform precondition, not a fallback: the folded leaf matrix
+        # is built in np.clongdouble once per solve and applied in complex128
         eps = np.finfo(np.longdouble).eps
         assert eps <= 1.1e-19, (
-            "the Volterra leaf solve needs an 80-bit or wider long double: in "
-            "float64 it drifts from the direct loop by up to about 2e-12 at "
-            f"M = 20000; this platform's np.longdouble has eps {eps}"
+            "the Volterra leaf matrix must be built in an 80-bit or wider long "
+            "double: built in float64 it drifts from the extended-precision "
+            "direct loop by up to about 2e-12 at M = 20000 (6.3e-13 Ohmic, "
+            "2.2e-12 on the N = 200 ring), built in extended precision and "
+            "applied in float64 by 4e-15; this platform's np.longdouble has "
+            f"eps {eps}"
         )
 
     def test_solve_leaves_no_reference_cycles(self):
