@@ -197,7 +197,7 @@ def _toeplitz_panel(kernel):
 
 
 def _series_inverse(a):
-    """First n coefficients of 1/a(z) for a power series a with a[0] = 1.
+    """The first len(a) coefficients of 1/a(z), for a power series a with a[0] = 1.
 
     Newton doubling: if b is 1/a to m terms, b (1 - (a b - 1)) is 1/a to
     2 m terms, and a b - 1 has no terms below z^m.

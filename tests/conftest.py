@@ -116,8 +116,7 @@ def direct_trapezoid_volterra(kernel, h, dtype=np.complex128):
     increment form: v[n] = v[n-1] - c (I[n-1]/h + H[n] + K[0] v[n-1]/2)
     with c = (h^2/2)/(1 + h^2 K[0]/4) and H[n] = I[n]/h - K[0] v[n]/2, so
     that the factor (1 - h^2 K[0]/4)/(1 + h^2 K[0]/4) of v[n-1] is never
-    formed.
-    ``dtype=np.clongdouble`` runs the loop in extended precision.
+    formed.  ``dtype=np.clongdouble`` runs the loop in extended precision.
     """
     kernel = np.asarray(kernel).astype(dtype)
     M = kernel.shape[0] - 1

@@ -249,8 +249,8 @@ class TestSolver:
             gc.enable()
 
     def test_solve_keeps_no_buffers(self):
-        # the Toeplitz panel, the folded leaf matrix, K/2 and the kernel
-        # spectra (1.7 MB together at M = 20000) live for one solve only;
+        # the Toeplitz panel, the folded leaf matrix and the kernel spectra
+        # (1.0 MB together at M = 20000) live for one solve only;
         # the first solve fills numpy's process-wide cache of FFT plans
         kernel = np.full(20001, 1.0 + 0j)
         _trapezoid_volterra(kernel, 0.01)
