@@ -13,14 +13,14 @@ exactly ``repr(float(x))``.
 
 A run over several values of one key is a sweep: ``sweep=<key>`` and
 ``sweep_values=<v1,v2,...>``.  ``run_command`` runs any CLI command on any
-config and is the one place that writes CSV files; every command honours a
-sweep config.  The canned figures are (command, config) pairs handed to the
-same runner.
+config and is the one place that writes CSV files.  It lists every reason
+the command cannot run the config before it runs anything, then runs a
+sweep config one point at a time, into a file per point (``solve``,
+``oracle``) or tagged into one file (``sweep``, ``modes``).  The canned
+figures are (command, config) pairs handed to the same runner.
 """
 
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -28,15 +28,16 @@ import numpy as np
 
 from ._ranges import problems
 from .boundmode import find_bound_mode, spectral_function_y, superohmic_criterion
-from .gaussian import PhysicalityError, measures_from_amplitude
+from .gaussian import measures_from_amplitude
 from .lattice import build_chain, discrete_bound_modes, exact_amplitude
-from .spectra import CavityArraySpectrum, OhmicFamilySpectrum
+from .spectra import CavityArraySpectrum, OhmicFamilySpectrum, level_shift_integral, memory_kernel
 from .volterra import ConvergenceError, SystemMode, TimeGrid, decay_rates, solve_amplitude
 
 SOLVE_HEADER = (
     "t,u_re,u_im,u_abs2,gamma,omega_shift,I1,I2,I3,I4,nu_minus,nu_plus,"
     "discord,mutual_info,classical,log_neg,branch"
 )
+SWEEP_HEADER = "t,discord,u_abs2,log_neg"
 NA = "NA"
 # rows formatted at a time: bounds the Python floats and strings alive besides
 # the joined rows, so formatting memory does not grow with the table
@@ -140,20 +141,31 @@ def parse_config(text, overrides=None):
     return _build_config(values, errors, given=raw.keys())
 
 
-def _value_errors(values, model):
-    """Range, model-key and cross-key problems of one set of parameter values."""
+def _value_errors(values, model, complete):
+    """Range, model-key and cross-key problems of one set of parameter values;
+    for ``complete`` ones (model and required keys good) also an overflow that
+    spectra finds in the memory kernel at t = 0 or the level shift at E = 0."""
     errors = []
     if model == "ohmic" and not ARRAY_KEYS.isdisjoint(values):
         errors.append("array keys (g, xi, omega_C, N) are invalid for model=ohmic")
     if model == "array" and not OHMIC_KEYS.isdisjoint(values):
         errors.append("Ohmic-family keys (eta, n, omega_c, omega_ref) are invalid for model=array")
     errors.extend(problems(values))
-    n = values.get("n")
-    if isinstance(n, numbers.Real) and 0 < n < math.inf:
-        try:
-            math.gamma(n + 1)
-        except OverflowError:
-            errors.append(f"n={n} is too large: Gamma(n+1) overflows double precision")
+    if not complete:
+        return errors
+    try:
+        spectrum = build_model(ScenarioConfig(**{**values, "model": model}))
+    except ValueError:  # a model key out of range, named above
+        return errors
+    try:
+        with np.errstate(all="ignore"):  # an overflow is reported, not warned of
+            at_zero = [memory_kernel(spectrum, 0.0), level_shift_integral(spectrum, 0.0)]
+    except ValueError as exc:
+        return [*errors, str(exc)]
+    except OverflowError:
+        at_zero = [np.inf]
+    if not np.isfinite(at_zero).all():
+        errors.append(f"the {model} memory kernel or level shift overflows double precision")
     return errors
 
 
@@ -176,16 +188,12 @@ def _build_config(values, errors, given):
     elif model not in ("ohmic", "array"):
         errors.append(f"model must be 'ohmic' or 'array', got {model!r}")
 
-    if model == "ohmic":
-        for key in ("eta", "n", "omega_c"):
-            if key not in given:
-                errors.append(f"model=ohmic requires {key}")
+    required = {"ohmic": ("eta", "n", "omega_c"), "array": ("g", "xi")}.get(model, ())
+    errors.extend(f"model={model} requires {key}" for key in required if key not in given)
     if model == "array":
-        for key in ("g", "xi"):
-            if key not in given:
-                errors.append(f"model=array requires {key}")
         values.setdefault("omega_C", 1.0)
-    base_errors = _value_errors(values, model)
+    complete = not errors
+    base_errors = _value_errors(values, model, complete)
     errors.extend(base_errors)
 
     sweep = values.get("sweep")
@@ -195,17 +203,12 @@ def _build_config(values, errors, given):
         errors.append("sweep requires sweep_values")
     if sweep is None and "sweep_values" in given:
         errors.append("sweep_values requires sweep")
-    if not all(math.isfinite(x) for x in values.get("sweep_values") or ()):
-        errors.append(f"sweep_values must be finite, got {values['sweep_values']}")
     if sweep in SWEEPABLE:
         # every sweep point is a config of its own: check it like one
         for value in values.get("sweep_values") or ():
-            point_errors = _value_errors({**values, sweep: value}, model)
-            errors.extend(
-                f"sweep point {sweep}={value!r}: {problem}"
-                for problem in point_errors
-                if problem not in base_errors
-            )
+            point_errors = _value_errors({**values, sweep: value}, model, complete)
+            errors.extend(f"sweep point {sweep}={value!r}: {problem}"
+                          for problem in point_errors if problem not in base_errors)
 
     if errors:
         raise ConfigError(errors)
@@ -300,15 +303,6 @@ def _trajectory_rows(cfg, traj):
     return rows
 
 
-def _require_ring(cfg, command):
-    """The spectral models know only the ring: an open chain is the oracle's."""
-    if cfg.topology != "ring":
-        raise ConfigError([
-            f"{command} supports only topology=ring, got {cfg.topology!r}; "
-            "oracle is the only command that follows an open chain"
-        ])
-
-
 def run_scenario(cfg):
     """Solve one scenario; returns (header, row lines) for the solve CSV."""
     return SOLVE_HEADER, _trajectory_rows(cfg, _solve(cfg))
@@ -316,10 +310,7 @@ def run_scenario(cfg):
 
 def run_oracle(cfg):
     """Exact finite-lattice amplitude pushed through the same CSV pipeline."""
-    model = build_model(cfg)
-    if not isinstance(model, CavityArraySpectrum) or model.sites is None:
-        raise ConfigError(["the oracle needs model=array with a finite N"])
-    chain = build_chain(model, SystemMode(omega0=cfg.omega0), topology=cfg.topology)
+    chain = build_chain(build_model(cfg), SystemMode(omega0=cfg.omega0), topology=cfg.topology)
     traj = exact_amplitude(chain, TimeGrid(t_max=cfg.t_max, steps=cfg.steps))
     return SOLVE_HEADER, _trajectory_rows(cfg, traj)
 
@@ -332,34 +323,15 @@ def _sweep_points(cfg):
         yield value, dataclasses.replace(cfg, sweep=None, sweep_values=None, **{cfg.sweep: value})
 
 
-def run_sweep(cfg):
-    """Long-format sweep; returns (header, rows, failures).
-
-    Sweep points run independently; a failing point is recorded in
-    ``failures`` as (value, message) and the remaining points still emit.
-    """
-    if cfg.sweep is None:
-        raise ConfigError(["sweep requires a sweep parameter (sweep=...)"])
-    header = "sweep_value,t,discord,u_abs2,log_neg"
+def run_sweep(cfg, *lead):
+    """Discord, |u|^2 and log-negativity of one solve as (header, rows), rows led by ``lead``."""
+    traj = _solve(cfg)
+    meas = measures_from_amplitude(traj.u, cfg.r)
+    arrays = (traj.times, meas["discord"], np.abs(traj.u) ** 2, meas["log_neg"])
     rows = []
-    failures = []
-    times = None
-    for value, point in _sweep_points(cfg):
-        try:
-            traj = _solve(point)
-            meas = measures_from_amplitude(traj.u, point.r)
-        except (ConvergenceError, PhysicalityError, ValueError) as exc:
-            # recorded per point, partial results kept
-            failures.append((value, str(exc)))
-            continue
-        if times is None:
-            # grid keys cannot be swept: every point shares one time column
-            times = [t for _, (t,) in _text_chunks([traj.times])]
-        arrays = (meas["discord"], np.abs(traj.u) ** 2, meas["log_neg"])
-        tag = repeat(_fmt(value))
-        for (_, columns), t in zip(_text_chunks(arrays), times):
-            rows.extend(map(",".join, zip(tag, t, *columns)))
-    return header, rows, failures
+    for _, columns in _text_chunks(arrays):
+        rows.extend(map(",".join, zip(*map(repeat, lead), *columns)))
+    return SWEEP_HEADER, rows
 
 
 def _mode_summary_lines(model, mode):
@@ -401,15 +373,15 @@ def _mode_sample_energies(model):
     ]
 
 
-def run_modes(cfg):
-    """(E, y(E)) samples outside the support plus a bound-mode summary block."""
+def run_modes(cfg, *lead):
+    """y(E) samples outside the support, led by ``lead``, and a bound-mode summary block."""
     model = build_model(cfg)
     mode = SystemMode(omega0=cfg.omega0)
     rows = []
     for grid in _mode_sample_energies(model):
         ys = np.array([spectral_function_y(model, mode, E) for E in grid], dtype=float)
         for _, (energies, values) in _text_chunks([grid, ys]):
-            rows.extend(map(",".join, zip(energies, values)))
+            rows.extend(map(",".join, zip(*map(repeat, lead), energies, values)))
     rows.extend(_mode_summary_lines(model, mode))
     return "E,y", rows
 
@@ -420,41 +392,54 @@ def write_csv(path, header, rows):
 
 
 def run_command(command, cfg, out):
-    """Run one CLI command on ``cfg`` and write its CSV output.
+    """Run one CLI command on ``cfg`` and write its CSV output to ``out``;
+    returns (written paths, failed sweep points as (value, message)).
 
-    ``out`` names the output file.  ``sweep`` writes its long-format CSV and
-    returns its failed points as (value, message) pairs; the other commands
-    let a failure propagate.  Given a sweep config, ``solve`` and ``oracle``
-    write one file per point, tagging the stem of ``out`` with the swept key
-    and value, and ``modes`` writes every point's rows into ``out``, tagged
-    with its value.  Returns (written paths, failures).
+    Every reason the command cannot run the config is raised first, as one
+    ConfigError.  Given a sweep config, ``solve`` and ``oracle`` write one file
+    per point, named after the stem of ``out`` and the swept key and value;
+    ``sweep`` and ``modes`` write every point's rows, led by its value, into ``out``.
     """
-    if command != "oracle":
-        _require_ring(cfg, command)
-    if command == "sweep":
-        header, rows, failures = run_sweep(cfg)
-        write_csv(out, header, rows)
-        return [out], failures
-    run = {"solve": run_scenario, "oracle": run_oracle, "modes": run_modes}[command]
+    errors = []
+    if command != "oracle" and cfg.topology != "ring":
+        # the spectral models know only the ring
+        errors.append(f"{command} supports only topology=ring, got {cfg.topology!r}; "
+                      "oracle is the only command that follows an open chain")
+    if command == "oracle" and (cfg.model != "array" or cfg.N is None):
+        errors.append("the oracle needs model=array with a finite N")
+    if command == "sweep" and cfg.sweep is None:
+        errors.append("sweep requires a sweep parameter (sweep=...)")
+    if errors:
+        raise ConfigError(errors)
+    runs = {"solve": run_scenario, "sweep": run_sweep, "oracle": run_oracle, "modes": run_modes}
+    run = runs[command]
     if cfg.sweep is None:
         write_csv(out, *run(cfg))
         return [out], []
-    if command == "modes":
-        rows = []
+    if command in ("solve", "oracle"):
+        stem = out.removesuffix(".csv")
+        written = []
         for value, point in _sweep_points(cfg):
-            tag = _fmt(value)
-            summary = f"# {cfg.sweep}={tag} "
-            for row in run_modes(point)[1]:
-                rows.append(summary + row[2:] if row.startswith("#") else f"{tag},{row}")
-        write_csv(out, f"{cfg.sweep},E,y", rows)
-        return [out], []
-    stem = out.removesuffix(".csv")
-    written = []
+            path = f"{stem}_{cfg.sweep}_{_fmt(value)}.csv"
+            write_csv(path, *run(point))
+            written.append(path)
+        return written, []
+    # only sweep records a point that does not converge or is unphysical, and goes on
+    recorded = (ConvergenceError, ValueError) if command == "sweep" else ()
+    rows, failures = [], []
     for value, point in _sweep_points(cfg):
-        path = f"{stem}_{cfg.sweep}_{_fmt(value)}.csv"
-        write_csv(path, *run(point))
-        written.append(path)
-    return written, []
+        tag = _fmt(value)
+        try:
+            # the tag is a cell of each row's own join, not a second copy of the row
+            _, point_rows = run(point, tag)
+        except recorded as exc:
+            failures.append((value, str(exc)))
+            continue
+        if command == "modes":  # its '#' summary lines name the point too
+            point_rows = [f"# {cfg.sweep}={tag} {r[2:]}" if r[0] == "#" else r for r in point_rows]
+        rows += point_rows
+    write_csv(out, "sweep_value," + SWEEP_HEADER if command == "sweep" else f"{cfg.sweep},E,y", rows)
+    return [out], failures
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,9 @@ product:
   double must therefore be 80-bit or wider, as it is on x86-64 Linux;
   where it is plain float64 (MSVC builds and Apple-silicon macOS, for
   example) the test suite fails on that precondition.
-* Blocks of one leaf (at most 128 steps) add their terms by one
-  complex128 BLAS matrix-vector product with a view of a 128 x 128 Toeplitz
-  panel of the kernel, built once per solve (256 kB).
+* Blocks of one leaf (after every odd-numbered leaf) add their terms by
+  one complex128 BLAS matrix-vector product with an L x L Toeplitz panel of
+  the kernel, built once per solve (100 kB at L = 80).
 * Larger blocks add them by one FFT convolution at twice the block's
   length.  That length is L 2^(v+1), a 5-smooth number that numpy's FFT
   splits into its fast radices, and all blocks of one length share one
@@ -71,7 +71,6 @@ from .spectra import evaluate_density, memory_kernel
 VALIDITY_FLOOR = 1e-8  # |u|^2 below this makes -u'/u numerically meaningless
 # leaf lengths L: 5-smooth, so every FFT length L 2^k is one of numpy's fast ones
 _LEAF_LENGTHS = (72, 75, 80, 81, 90, 96, 100, 108, 120, 125, 128)
-_DENSE = 128  # steps up to which a block adds its history by one matrix product
 _MAX_REFINEMENTS = 8  # halvings past the output grid before solve_amplitude gives up
 
 
@@ -151,11 +150,11 @@ def _trapezoid_volterra(kernel, h):
     # I[0] = 0 (see _leaf_system)
     history = 0.5 * kernel
     history[0] = -history[0]
-    panel = _toeplitz_panel(kernel)
     spectra = {}
     leaves = 1 << (-(-M // _LEAF_LENGTHS[-1]) - 1).bit_length()
     length = next(n for n in _LEAF_LENGTHS if n * leaves >= M)
     fold, drift = _leaf_system(kernel, h, min(length, M))
+    panel = _toeplitz_panel(kernel, length)
     for count, lo in enumerate(range(1, M + 1, length), start=1):
         hi = min(lo + length, M + 1)
         step = fold[: hi - lo, : hi - lo + 1] @ history[lo - 1 : hi]
@@ -167,9 +166,9 @@ def _trapezoid_volterra(kernel, h):
             break
         size = length * (count & -count)
         end = min(hi + size, M + 1)
-        if size <= _DENSE:
-            # matmul, not np.dot, which multiplies a strided view without BLAS
-            history[hi:end] += panel[: end - hi, _DENSE - size :] @ v[hi - size : hi]
+        if count & 1:
+            # a block of one leaf: one BLAS product with the panel's leading rows
+            history[hi:end] += panel[: end - hi] @ v[lo:hi]
         else:
             # kernel lags up to 2 size - 1 reach history[hi:end] without
             # wrapping round the circular product
@@ -181,18 +180,18 @@ def _trapezoid_volterra(kernel, h):
     return v
 
 
-def _toeplitz_panel(kernel):
-    """Toeplitz panel P[i, j] = K[_DENSE + i - j] of kernel lags 1 .. 2 _DENSE - 1.
+def _toeplitz_panel(kernel, size):
+    """Toeplitz panel P[i, j] = K[size + i - j] of kernel lags 1 .. 2 size - 1.
 
-    A block of s <= _DENSE steps ending before step n adds its terms to
-    history[n:n + s] as P[:s, _DENSE - s:] @ v[n - s:n].  Lags past M only
-    meet history entries past M and are zero.  The panel is a contiguous
-    copy, so that view is one BLAS product.
+    A leaf of ``size`` steps ending before step n adds its terms to
+    history[n:n + r] as P[:r] @ v[n - size:n], r = size or fewer where the
+    history ends.  Lags past M only meet history entries past M and are
+    zero.  The panel is a contiguous copy, so that product is one BLAS call.
     """
-    head = kernel[: 2 * _DENSE]
-    lags = np.zeros(2 * _DENSE, dtype=np.complex128)
+    head = kernel[: 2 * size]
+    lags = np.zeros(2 * size, dtype=np.complex128)
     lags[: head.shape[0]] = head
-    windows = np.lib.stride_tricks.sliding_window_view(lags[1:], _DENSE)
+    windows = np.lib.stride_tricks.sliding_window_view(lags[1:], size)
     return windows[:, ::-1].copy()
 
 

@@ -6,7 +6,8 @@ them through another reference (a dispatch table built at import time, a
 local alias) hides their spans and silently empties a layer of the
 benchmark.  These tests run the CLI commands the benchmark runs under the
 tracer and check that it found every target and recorded each command's
-spans.
+spans: one ``run_*`` span per point, also where a sweep config's points are
+written into one file.
 """
 
 import importlib.util
@@ -29,14 +30,15 @@ def _tracer_class():
     return module.Tracer
 
 
-@pytest.mark.parametrize("command, argv, span", [
-    ("solve", OHMIC, "scenario.run_scenario"),
-    ("sweep", None, "scenario.run_sweep"),
-    ("modes", OHMIC, "scenario.run_modes"),
-    ("oracle", ARRAY, "scenario.run_oracle"),
-], ids=("solve", "sweep", "modes", "oracle"))
-def test_tracer_records_each_command(tmp_path, command, argv, span):
-    if argv is None:
+@pytest.mark.parametrize("command, argv, span, points", [
+    ("solve", OHMIC, "scenario.run_scenario", 1),
+    ("sweep", None, "scenario.run_sweep", 2),
+    ("modes", OHMIC, "scenario.run_modes", 1),
+    ("oracle", ARRAY, "scenario.run_oracle", 1),
+    ("modes", None, "scenario.run_modes", 2),
+], ids=("solve", "sweep", "modes", "oracle", "modes-sweep"))
+def test_tracer_records_each_command(tmp_path, command, argv, span, points):
+    if argv is None:  # a two-value sweep, written into one file
         config = tmp_path / "sweep.cfg"
         config.write_text("eta=0.2\nn=3\nomega_c=1\nt_max=5\nsteps=100\n"
                           "sweep=eta\nsweep_values=0.1,0.2\n")
@@ -49,5 +51,6 @@ def test_tracer_records_each_command(tmp_path, command, argv, span):
         tracer.uninstall()
     assert code == 0
     assert tracer.missing == []
-    names = {name for name, *_ in tracer.spans}
-    assert {"cli.main", span, "scenario.write_csv"} <= names
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("cli.main") == names.count("scenario.write_csv") == 1
+    assert names.count(span) == points

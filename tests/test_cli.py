@@ -35,9 +35,9 @@ from gaussbath.scenario import (
     _solve,
     _text_chunks,
     _trajectory_rows,
+    run_command,
     run_modes,
     run_scenario,
-    run_sweep,
 )
 
 OHMIC_TEXT = "eta=0.08\nn=3\nomega_c=1.0\nr=1.0\nt_max=50\nsteps=5000\n"
@@ -64,7 +64,7 @@ class TestParseConfig:
             ("t_max", OHMIC_TEXT + "t_max=inf\n"),
             ("tol", OHMIC_TEXT + "tol=nan\n"),
             ("xi", "g=0.02\nxi=nan\nN=200\n"),
-            ("sweep_values", OHMIC_TEXT + "sweep=eta\nsweep_values=0.1,nan\n"),
+            ("sweep point eta=nan", OHMIC_TEXT + "sweep=eta\nsweep_values=0.1,nan\n"),
         ):
             with pytest.raises(ConfigError) as exc:
                 parse_config(text)
@@ -167,6 +167,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(OHMIC_TEXT + "tol=-1\nsweep=eta\nsweep_values=0.1,0.2,0.3\n")
         assert exc.value.errors == ["tol must be > 0, got -1.0"]
+
+    def test_nonfinite_sweep_value_is_reported_once(self):
+        # the per-point range check covers every sweepable key, so a
+        # non-finite value is one message, not also one about sweep_values
+        with pytest.raises(ConfigError) as exc:
+            parse_config(OHMIC_TEXT + "sweep=eta\nsweep_values=0.1,inf\n")
+        assert exc.value.errors == ["sweep point eta=inf: eta must be finite, got inf"]
 
 
 @pytest.fixture(scope="module")
@@ -286,10 +293,20 @@ class TestCsvText:
             assert row == ",".join(cells)
 
 
+def _run_sweep(tmp_path, cfg):
+    """The ``sweep`` CSV of ``cfg`` as the runner writes it: (header, rows, failures)."""
+    out = tmp_path / "sweep.csv"
+    written, failures = run_command("sweep", cfg, str(out))
+    assert written == [str(out)]
+    header, *rows = out.read_text().splitlines()
+    return header, rows, failures
+
+
 class TestSweep:
-    def test_single_point_sweep_matches_solve(self):
+    def test_single_point_sweep_matches_solve(self, tmp_path):
         base = "eta=0.2\nn=3\nomega_c=1.0\nr=1.0\nt_max=5\nsteps=200\ntol=1e-4\n"
-        header, rows, failures = run_sweep(parse_config(base + "sweep=eta\nsweep_values=0.2\n"))
+        cfg = parse_config(base + "sweep=eta\nsweep_values=0.2\n")
+        header, rows, failures = _run_sweep(tmp_path, cfg)
         assert not failures
         assert header == "sweep_value,t,discord,u_abs2,log_neg"
         solve_header, solve_rows = run_scenario(parse_config(base))
@@ -305,12 +322,12 @@ class TestSweep:
             assert s[3] == v[ui]
             assert s[4] == v[li]
 
-    def test_grid_identical_across_sweep_values(self):
+    def test_grid_identical_across_sweep_values(self, tmp_path):
         cfg = parse_config(
             "eta=0.1\nn=3\nomega_c=1.0\nt_max=5\nsteps=100\ntol=1e-3\n"
             "sweep=eta\nsweep_values=0.1,0.4\n"
         )
-        _, rows, failures = run_sweep(cfg)
+        _, rows, failures = _run_sweep(tmp_path, cfg)
         assert not failures
         groups = {}
         for row in rows:
@@ -319,14 +336,14 @@ class TestSweep:
         times = list(groups.values())
         assert times[0] == times[1]
 
-    def test_decay_vs_frozen_dichotomy_across_threshold(self):
+    def test_decay_vs_frozen_dichotomy_across_threshold(self, tmp_path):
         # sweep straddling the eta = 0.5 bound-mode threshold: below it the
         # survival probability empties, above it it freezes near Z^2
         cfg = parse_config(
             "eta=0.08\nn=3\nomega_c=1.0\nr=1.0\nt_max=50\nsteps=2500\ntol=1e-3\n"
             "sweep=eta\nsweep_values=0.08,1.0\n"
         )
-        _, rows, failures = run_sweep(cfg)
+        _, rows, failures = _run_sweep(tmp_path, cfg)
         assert not failures
         final = {}
         for row in rows:
@@ -335,18 +352,17 @@ class TestSweep:
         assert final["0.08"] < 0.05
         assert final["1.0"] > 0.3
 
-    def test_failed_point_recorded_and_others_kept(self):
+    def test_failed_point_recorded_and_others_kept(self, tmp_path):
         cfg = parse_config(
             "eta=0.1\nn=3\nomega_c=1.0\nt_max=20\nsteps=64\ntol=1e-14\n"
             "sweep=eta\nsweep_values=0.1\n"
         )
-        cfg = dataclasses.replace(cfg)
-        header, rows, failures = run_sweep(cfg)
+        header, rows, failures = _run_sweep(tmp_path, cfg)
         assert rows == []
         assert len(failures) == 1
         assert failures[0][0] == 0.1
 
-    def test_overshooting_amplitude_is_a_failed_point(self, monkeypatch):
+    def test_overshooting_amplitude_is_a_failed_point(self, tmp_path, monkeypatch):
         from gaussbath import scenario
 
         solve = scenario.solve_amplitude
@@ -359,13 +375,13 @@ class TestSweep:
         cfg = parse_config(
             "eta=0.1\nn=3\nomega_c=1.0\nt_max=5\nsteps=100\nsweep=eta\nsweep_values=0.1\n"
         )
-        header, rows, failures = run_sweep(cfg)
+        header, rows, failures = _run_sweep(tmp_path, cfg)
         assert rows == []
         [(value, message)] = failures
         assert value == 0.1
         assert message.startswith("|u| = 1.000001") and "exceeds 1" in message
 
-    def test_programming_error_propagates(self, monkeypatch):
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
         # only numerical and input failures become failed sweep points
         from gaussbath import scenario
 
@@ -375,7 +391,7 @@ class TestSweep:
         monkeypatch.setattr(scenario, "solve_amplitude", broken)
         cfg = parse_config(OHMIC_TEXT + "sweep=eta\nsweep_values=0.1\n")
         with pytest.raises(TypeError, match="broken solver"):
-            run_sweep(cfg)
+            run_command("sweep", cfg, str(tmp_path / "sweep.csv"))
 
 
 class TestModes:
@@ -496,12 +512,44 @@ class TestCliEndToEnd:
             out = tmp_path / f"{command}.csv"
             args = [command, "--eta", "1.0", "--n", "200", "--omega-c", "1.0", "--out", str(out)]
             assert main(args) == 2
-            assert "n=200.0 is too large" in capsys.readouterr().err
+            assert "the Ohmic memory kernel overflows double precision (n=200.0," in (
+                capsys.readouterr().err)
             assert not out.exists()
         config = tmp_path / "sweep.cfg"
         config.write_text("eta=1.0\nn=3\nomega_c=1.0\nsweep=n\nsweep_values=3,171\n")
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "s.csv")]) == 2
-        assert "sweep point n=171.0: n=171.0 is too large" in capsys.readouterr().err
+        assert ("sweep point n=171.0: the Ohmic memory kernel overflows double precision "
+                "(n=171.0,") in capsys.readouterr().err
+        # a problem of another key is reported next to the overflow, not instead of it
+        args = ["solve", "--eta", "1.0", "--n", "200", "--omega-c", "1.0", "--tol", "-1",
+                "--out", str(tmp_path / "tol.csv")]
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: tol must be > 0, got -1.0",
+            "config error: the Ohmic memory kernel overflows double precision "
+            "(n=200.0, omega_c=1.0, omega_ref=1.0)",
+        ]
+
+    @pytest.mark.parametrize("argv, message", [
+        # Gamma(151) is finite, (omega_c/omega_ref)^(n-1) = 1e596 is not
+        (["--eta", "1", "--n", "150", "--omega-c", "100", "--omega-ref", "0.01"],
+         "config error: the Ohmic memory kernel overflows double precision"),
+        # every factor is finite, their product eta omega_c^3 Gamma(4) in the level shift is not
+        (["--eta", "1e300", "--n", "3", "--omega-c", "1e10"],
+         "config error: the Ohmic level shift at E=0.0 overflows double precision"),
+        # g^2 overflows in the array kernel's carrier
+        (["--model", "array", "--g", "1e200", "--xi", "0.05", "--sites", "8"],
+         "config error: the array memory kernel or level shift overflows double precision"),
+    ], ids=("power", "product", "array"))
+    @pytest.mark.parametrize("command", ["solve", "modes"])
+    def test_overflowing_kernel_is_a_config_error(self, tmp_path, capsys, command, argv, message):
+        # the config stage asks spectra for the kernel at t = 0 and the level
+        # shift at E = 0, so it refuses whatever overflows in the library
+        out = tmp_path / "o.csv"
+        assert main([command, *argv, "--tmax", "1", "--steps", "10", "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(message)
+        assert not out.exists()
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         config = tmp_path / "hard.cfg"
@@ -582,17 +630,37 @@ class TestCliEndToEnd:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["solve", "sweep", "modes"])
-    def test_open_topology_is_a_config_error_outside_oracle(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, text, message", [
+        *((command, OPEN_CHAIN_TEXT, f"{command} supports only topology=ring, got 'open'; "
+           "oracle is the only command that follows an open chain")
+          for command in ("solve", "sweep", "modes")),
+        # the oracle follows an open chain, but only of a finite array
+        ("oracle", OHMIC_TEXT + "topology=open\n", "the oracle needs model=array with a finite N"),
+    ], ids=("solve", "sweep", "modes", "oracle-ohmic"))
+    def test_open_topology_is_a_config_error_outside_oracle(
+        self, tmp_path, capsys, command, text, message
+    ):
         # the spectral models know only the ring; an open chain would be
         # solved as a ring without notice
         config = tmp_path / "open.cfg"
-        config.write_text(OPEN_CHAIN_TEXT + "sweep=omega0\nsweep_values=1.0\n")
+        config.write_text(text + "sweep=omega0\nsweep_values=1.0\n")
         out = tmp_path / "o.csv"
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: {command} supports only topology=ring" in err
-        assert "oracle is the only command" in err
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+        assert not list(tmp_path.glob("o_*.csv"))
+
+    def test_every_command_conflict_is_reported_at_once(self, tmp_path, capsys):
+        # an open chain and no swept key: sweep cannot run it for two reasons
+        config = tmp_path / "open.cfg"
+        config.write_text(OPEN_CHAIN_TEXT)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sweep supports only topology=ring, got 'open'; "
+            "oracle is the only command that follows an open chain",
+            "config error: sweep requires a sweep parameter (sweep=...)",
+        ]
         assert not out.exists()
 
     def test_oracle_follows_open_topology(self, tmp_path):

@@ -250,8 +250,9 @@ class TestSolver:
 
     def test_solve_keeps_no_buffers(self):
         # the Toeplitz panel, the folded leaf matrix and the kernel spectra
-        # (1.0 MB together at M = 20000) live for one solve only;
-        # the first solve fills numpy's process-wide cache of FFT plans
+        # (0.86 MB together at M = 20000, 100 kB of it the L = 80 panel)
+        # live for one solve only; the first solve fills numpy's
+        # process-wide cache of FFT plans
         kernel = np.full(20001, 1.0 + 0j)
         _trapezoid_volterra(kernel, 0.01)
         tracemalloc.start()
