@@ -26,7 +26,8 @@ class BoundMode:
 
 
 def spectral_function_y(model, mode, E):
-    """y(E) = omega0 - int J(w)/(w - E) dw, defined outside the support."""
+    """y(E) = omega0 - int J(w)/(w - E) dw, defined outside the support; E is
+    a scalar (float out) or a 1-d array, as for ``level_shift_integral``."""
     return mode.omega0 - level_shift_integral(model, E, order=1)
 
 

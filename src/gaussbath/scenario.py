@@ -159,11 +159,12 @@ def _value_errors(values, model, complete):
         return errors
     try:
         with np.errstate(all="ignore"):  # an overflow is reported, not warned of
-            at_zero = [memory_kernel(spectrum, 0.0), level_shift_integral(spectrum, 0.0)]
+            # an array's kernel at t = 0 is g^2, which its level shift squares
+            # too; evaluating the kernel would load scipy.special for J0(0) = 1
+            kernel = [memory_kernel(spectrum, 0.0)] if model == "ohmic" else []
+            at_zero = [*kernel, level_shift_integral(spectrum, 0.0)]
     except ValueError as exc:
         return [*errors, str(exc)]
-    except OverflowError:
-        at_zero = [np.inf]
     if not np.isfinite(at_zero).all():
         errors.append(f"the {model} memory kernel or level shift overflows double precision")
     return errors
@@ -379,8 +380,7 @@ def run_modes(cfg, *lead):
     mode = SystemMode(omega0=cfg.omega0)
     rows = []
     for grid in _mode_sample_energies(model):
-        ys = np.array([spectral_function_y(model, mode, E) for E in grid], dtype=float)
-        for _, (energies, values) in _text_chunks([grid, ys]):
+        for _, (energies, values) in _text_chunks([grid, spectral_function_y(model, mode, grid)]):
             rows.extend(map(",".join, zip(*map(repeat, lead), energies, values)))
     rows.extend(_mode_summary_lines(model, mode))
     return "E,y", rows

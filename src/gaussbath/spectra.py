@@ -95,6 +95,17 @@ class CavityArraySpectrum:
 SpectralModel = OhmicFamilySpectrum | CavityArraySpectrum
 
 
+def _coupling_squared(model):
+    """g^2 of an array model, which scales its kernel, density and level shifts."""
+    try:
+        return float(model.g) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"the array memory kernel or level shift overflows double precision "
+            f"(g={model.g}, whose square exceeds the double range)"
+        ) from None
+
+
 def evaluate_density(model, omega):
     """Spectral density J(omega): zero outside the array band (a finite ring
     gives the continuum value); the Ohmic family raises ValueError for omega < 0."""
@@ -112,7 +123,7 @@ def evaluate_density(model, omega):
     # through the memory kernel and the level-shift sums
     disc = 4 * model.xi**2 - (w - model.omega_C) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        dens = np.where(disc > 0, model.g**2 / (np.pi * np.sqrt(np.abs(disc))), 0.0)
+        dens = np.where(disc > 0, _coupling_squared(model) / (np.pi * np.sqrt(np.abs(disc))), 0.0)
     return float(dens) if np.isscalar(omega) else dens
 
 
@@ -138,27 +149,21 @@ def _ring_matches_continuum(model, t_max):
     return log_tail < math.log(_RING_TAIL_TOL)
 
 
-def _mode_sum(ts, energies, weights):
-    """sum_m weights[m] exp(-i energies[m] t) at each t of the 1-d ``ts``.
+def _mode_sum(ts, energies):
+    """sum_m exp(-i energies[m] t) at each t of the 1-d ``ts``.
 
-    Taken in chunks of rows, so a long time grid never holds its whole
-    (len(ts) x len(energies)) phase matrix at once.  The phases of modes
-    with zero weight are left at 0 instead of computed (on a ring, the
-    reflection-odd modes have none on the system site); the product still
-    runs over every mode, so each sum keeps its terms and their order.
+    Taken in blocks of about 2**16 phases, so a long time grid never holds
+    its whole (len(ts) x len(energies)) phase matrix at once.
     """
-    visible = np.flatnonzero(weights)
+    ones = np.ones(len(energies))
     out = np.empty(ts.shape, dtype=complex)
     step = max(1, 2**16 // len(energies))
-    phases = np.zeros((min(step, len(ts)), len(energies)), dtype=complex)
+    phases = np.empty((min(step, len(ts)), len(energies)), dtype=complex)
     for lo in range(0, len(ts), step):
         rows = ts[lo : lo + step]
         block = phases[: len(rows)]
-        if len(visible) == len(energies):
-            np.exp(-1j * np.outer(rows, energies), out=block)
-        else:
-            block[:, visible] = np.exp(-1j * np.outer(rows, energies[visible]))
-        out[lo : lo + step] = block @ weights
+        np.exp(-1j * np.outer(rows, energies), out=block)
+        out[lo : lo + step] = block @ ones
     return out
 
 
@@ -192,13 +197,13 @@ def memory_kernel(model, t):
     else:
         from scipy.special import j0
 
-        carrier = model.g**2 * np.exp(-1j * model.omega_C * ts)
+        carrier = _coupling_squared(model) * np.exp(-1j * model.omega_C * ts)
         if model.sites is None or _ring_matches_continuum(model, ts.max(initial=0.0)):
             out = np.asarray(carrier * j0(2 * model.xi * ts), dtype=complex)
         else:
             # the band centre is factored out of the mode phases, so their
             # rounding grows with 2 xi t rather than with omega_C t
-            total = _mode_sum(np.atleast_1d(ts), model._mode_offsets, np.ones(model.sites))
+            total = _mode_sum(np.atleast_1d(ts), model._mode_offsets)
             out = carrier * (total.reshape(ts.shape) / model.sites)
     return complex(out) if np.isscalar(t) else out
 
@@ -289,6 +294,68 @@ def _ohmic_shape(n, x, order):
     return F if order == 1 else previous - F
 
 
+def _ohmic_level_shift(model, E, order):
+    """The Ohmic-family level shift at one Python float E <= 0."""
+    # Python floats: the loops below run several times faster than on numpy scalars
+    n, omega_c = float(model.n), float(model.omega_c)
+    x = -E / omega_c
+    try:
+        scale = model.eta * model.omega_ref * (omega_c / model.omega_ref) ** n * math.gamma(n + 1)
+        if x == 0:
+            if order == 2 and n <= 1:
+                raise ValueError(f"the order-2 level shift diverges at E=0 for n={n} <= 1")
+            value = scale / n if order == 1 else scale / (n * (n - 1) * omega_c)
+        else:
+            value = scale * _ohmic_shape(n, x, order) / omega_c ** (order - 1)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"the Ohmic level shift at E={E} overflows double precision "
+            f"(n={n}, omega_c={omega_c}, omega_ref={model.omega_ref})"
+        )
+    return value
+
+
+def _continuum_level_shift(model, E, order):
+    """The continuum band's level shift at one Python float E outside the band."""
+    a = model.omega_C - E
+    root = math.sqrt(a * a - 4 * model.xi**2)
+    if order == 1:
+        return math.copysign(_coupling_squared(model) / root, a)
+    return _coupling_squared(model) * abs(a) / root**3
+
+
+def _ring_level_shift(model, E, order):
+    """A finite ring's level shift at a float E or at each E of a 1-d array:
+    one row of mode terms per E, each summed like the single E's."""
+    eps = model.mode_energies()
+    sums = np.sum((eps - np.asarray(E)[..., None]) ** (-float(order)), axis=-1)
+    return _coupling_squared(model) / model.sites * sums
+
+
+def _inside_support(model, E):
+    """Whether a float E, or each E of an array, lies inside the support."""
+    if isinstance(model, OhmicFamilySpectrum):
+        # E = 0 is admitted: J vanishes at the origin fast enough for the
+        # level-shift integrand to stay integrable, and the bound-mode
+        # criterion is evaluated exactly there
+        return E > 0
+    lo, hi = model.support
+    return (lo <= E) & (E <= hi)
+
+
+def _check_energy(model, E):
+    """Raise unless the float E is finite and outside the support."""
+    if not math.isfinite(E):
+        raise ValueError(f"E must be finite, got {E}")
+    if _inside_support(model, E):
+        if isinstance(model, OhmicFamilySpectrum):
+            raise SupportError(f"E={E} lies inside the Ohmic-family support [0, inf)")
+        lo, hi = model.support
+        raise SupportError(f"E={E} lies inside the spectral support [{lo}, {hi}]")
+
+
 def level_shift_integral(model, E, order=1):
     """int J(w)/(w - E)**order dw for E strictly outside the support.
 
@@ -299,44 +366,28 @@ def level_shift_integral(model, E, order=1):
     eta omega_ref^(1-n) Gamma(n+1-k) omega_c^(n+1-k).  Raises ValueError
     where the value overflows double precision and, for n <= 1, at order 2
     and E = 0, where the integral diverges.
+
+    E is a scalar, which gives a float, or a 1-d array, which gives the
+    array of the scalar calls' values, bit for bit; SupportError if any E
+    lies inside the support.  A finite ring sums its modes for every E at
+    once.  The closed forms take one E at a time, in Python floats, since
+    numpy's array power can differ from Python's in the last bit.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if not math.isfinite(E):
-        raise ValueError(f"E must be finite, got {E}")
-    if isinstance(model, OhmicFamilySpectrum):
-        # E = 0 is admitted: J vanishes at the origin fast enough for the
-        # level-shift integrand to stay integrable, and the bound-mode
-        # criterion is evaluated exactly there
-        if E > 0:
-            raise SupportError(f"E={E} lies inside the Ohmic-family support [0, inf)")
-        # Python floats: the loops below run several times faster than on numpy scalars
-        n, omega_c = float(model.n), float(model.omega_c)
-        x = -float(E) / omega_c
-        try:
-            scale = model.eta * model.omega_ref * (omega_c / model.omega_ref) ** n * math.gamma(n + 1)
-            if x == 0:
-                if order == 2 and n <= 1:
-                    raise ValueError(f"the order-2 level shift diverges at E=0 for n={n} <= 1")
-                value = scale / n if order == 1 else scale / (n * (n - 1) * omega_c)
-            else:
-                value = scale * _ohmic_shape(n, x, order) / omega_c ** (order - 1)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(
-                f"the Ohmic level shift at E={E} overflows double precision "
-                f"(n={n}, omega_c={omega_c}, omega_ref={model.omega_ref})"
-            )
-        return value
-    lo, hi = model.support
-    if lo <= E <= hi:
-        raise SupportError(f"E={E} lies inside the spectral support [{lo}, {hi}]")
-    if model.sites is not None:
-        eps = model.mode_energies()
-        return float(model.g**2 / model.sites * np.sum((eps - E) ** (-float(order))))
-    a = model.omega_C - E
-    root = math.sqrt(a * a - 4 * model.xi**2)
-    if order == 1:
-        return math.copysign(model.g**2 / root, a)
-    return model.g**2 * abs(a) / root**3
+    ohmic = isinstance(model, OhmicFamilySpectrum)
+    ring = not ohmic and model.sites is not None
+    closed_form = _ohmic_level_shift if ohmic else _continuum_level_shift
+    if np.isscalar(E) or np.ndim(E) == 0:
+        E = float(E)
+        _check_energy(model, E)
+        return float(_ring_level_shift(model, E, order)) if ring else closed_form(model, E, order)
+    energies = np.asarray(E, dtype=float)
+    if energies.ndim != 1:
+        raise ValueError(f"E must be a scalar or a 1-d array, got shape {energies.shape}")
+    bad = ~np.isfinite(energies) | _inside_support(model, energies)
+    if bad.any():
+        _check_energy(model, float(energies[bad][0]))  # raises, naming the first bad E
+    if ring:
+        return _ring_level_shift(model, energies, order)
+    return np.array([closed_form(model, e, order) for e in energies.tolist()], dtype=float)

@@ -982,22 +982,38 @@ assert "orjson" not in sys.modules
 print(gaussbath.__file__)
 loaded = lambda: sorted({"scipy.optimize", "scipy.special"} & set(sys.modules))
 print(loaded())
-assert gaussbath.cli.main(["solve", "--eta", "0.2", "--n", "3", "--omega-c", "1",
-                           "--tmax", "5", "--steps", "100", "--out", sys.argv[1]]) == 0
+assert gaussbath.cli.main(sys.argv[1:]) == 0
 print(loaded())
 """
+
+
+def _scipy_modules_loaded(argv):
+    """Run ``gaussbath.cli.main(argv)`` in a fresh interpreter; returns the
+    scipy.optimize and scipy.special modules loaded after importing
+    gaussbath and after the run, as printed lists."""
+    src = str(Path(gaussbath.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", STARTUP_CHECK, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    child_file, after_import, _, after_run = done.stdout.splitlines()  # main prints the path
+    assert Path(child_file).parent == Path(gaussbath.__file__).parent
+    return after_import, after_run
 
 
 def test_ohmic_solve_never_imports_scipy(tmp_path):
     # importing scipy.optimize and scipy.special costs more than a small
     # solve, so only the code paths that call them import them
-    src = str(Path(gaussbath.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = tmp_path / "solve.csv"
-    done = subprocess.run([sys.executable, "-c", STARTUP_CHECK, str(out)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    child_file, after_import, _, after_solve = done.stdout.splitlines()  # main prints the path
-    assert Path(child_file).parent == Path(gaussbath.__file__).parent
-    assert after_import == "[]"
-    assert after_solve == "[]"
+    argv = ["solve", "--eta", "0.2", "--n", "3", "--omega-c", "1", "--tmax", "5", "--steps", "100",
+            "--out", str(out)]
+    assert _scipy_modules_loaded(argv) == ("[]", "[]")
+    assert out.read_text().startswith("t,u_re,")
+
+
+def test_array_oracle_never_imports_scipy(tmp_path):
+    # the lattice oracle and the config-stage overflow probe need neither
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle", "--model", "array", "--g", "0.02", "--xi", "0.05", "--sites", "8",
+            "--tmax", "5", "--steps", "100", "--out", str(out)]
+    assert _scipy_modules_loaded(argv) == ("[]", "[]")
     assert out.read_text().startswith("t,u_re,")

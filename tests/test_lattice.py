@@ -52,7 +52,39 @@ class TestBuildChain:
             build_chain(CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0), MODE_08)
 
 
+def direct_mode_sum(chain, grid):
+    """sum_m w_m exp(-i lambda_m j dt) term by term in np.clongdouble, at the
+    exact times j dt of the float64 step dt."""
+    lam, V = np.linalg.eigh(chain.H)
+    weights = V[0, :] ** 2
+    visible = weights != 0  # a zero-weight mode adds exactly 0 to every term
+    lam = lam[visible].astype(np.longdouble)
+    weights = weights[visible].astype(np.longdouble)
+    times = np.arange(grid.steps + 1, dtype=np.longdouble) * np.longdouble(grid.dt)
+    out = np.empty(len(times), dtype=np.clongdouble)
+    for lo in range(0, len(times), 4096):
+        out[lo : lo + 4096] = np.exp(-1j * np.outer(times[lo : lo + 4096], lam)) @ weights
+    return out
+
+
 class TestExactAmplitude:
+    @pytest.mark.parametrize("sites, topology, omega0, t_max, steps", [
+        (8, "ring", 0.95, 2000.0, 40000),
+        (7, "open", 0.95, 300.0, 3001),
+        (200, "ring", 0.8, 500.0, 10000),
+        (1, "ring", 0.8, 500.0, 10000),
+    ], ids=["ring8", "open7", "fig4b", "single-site"])
+    def test_phase_table_matches_extended_precision_sum(self, sites, topology, omega0, t_max,
+                                                        steps):
+        # measured 3.5e-16, 3.1e-16, 1.5e-15 and 2.7e-16; a float64 sum over
+        # the float64 times t_j was 2.0e-13, 4.0e-14, 4.9e-14 and 5.0e-14 off
+        bath = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=sites)
+        chain = build_chain(bath, SystemMode(omega0), topology=topology)
+        grid = TimeGrid(t_max, steps)
+        u = exact_amplitude(chain, grid).u
+        assert u.dtype == np.complex128 and u.shape == (steps + 1,)
+        assert np.abs(u - direct_mode_sum(chain, grid)).max() <= 1e-14
+
     def test_decoupled_free_phase(self):
         spec = CavityArraySpectrum(g=0.0, xi=0.05, omega_C=1.0, sites=20)
         grid = TimeGrid(40.0, 400)

@@ -11,9 +11,11 @@ from gaussbath import (
     CavityArraySpectrum,
     OhmicFamilySpectrum,
     SupportError,
+    SystemMode,
     evaluate_density,
     level_shift_integral,
     memory_kernel,
+    spectral_function_y,
 )
 from gaussbath.spectra import _ring_matches_continuum
 
@@ -162,6 +164,17 @@ class TestMemoryKernel:
         with pytest.raises(ValueError, match="n=171"):
             memory_kernel(model, 0.0)
 
+    @pytest.mark.parametrize("sites", [None, 8], ids=["continuum", "ring8"])
+    def test_overflowing_coupling_is_a_value_error(self, sites):
+        # g^2 leaves the double range above g = 1.34e154
+        model = CavityArraySpectrum(g=1e200, xi=0.05, omega_C=1.0, sites=sites)
+        calls = (lambda: memory_kernel(model, [0.0, 1.0]), lambda: level_shift_integral(model, 0.0),
+                 lambda: level_shift_integral(model, np.array([0.0, 2.0]), 2),
+                 lambda: evaluate_density(model, 1.0))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"overflows double precision \(g=1e\+200"):
+                call()
+
 
 class TestSupport:
     def test_continuum_support_is_the_band(self):
@@ -301,10 +314,12 @@ class TestLevelShift:
                     level_shift_integral(model, E, order)
 
     def test_non_finite_energy_rejected(self):
-        for model in (OHMIC, ARRAY_CONT):
+        for model in (OHMIC, ARRAY_CONT, ARRAY_200):
             for E in (float("nan"), -float("inf")):
                 with pytest.raises(ValueError, match="finite"):
                     level_shift_integral(model, E, 1)
+                with pytest.raises(ValueError, match=f"finite, got {E}"):
+                    level_shift_integral(model, np.array([-5.0, E, -4.0]), 1)
 
     def test_support_rejection(self):
         with pytest.raises(SupportError):
@@ -315,6 +330,42 @@ class TestLevelShift:
         eps = ARRAY_200.mode_energies()
         with pytest.raises(SupportError):
             level_shift_integral(ARRAY_200, float(eps.min()), 1)
+
+    @pytest.mark.parametrize("model", [OHMIC, ARRAY_CONT, ARRAY_200],
+                             ids=["ohmic", "continuum", "ring200"])
+    def test_array_with_an_energy_inside_the_support_is_rejected(self, model):
+        inside = 0.5 if model is OHMIC else float(model.support[0])
+        for order in (1, 2):
+            with pytest.raises(SupportError, match=f"E={inside} lies inside"):
+                level_shift_integral(model, np.array([-5.0, -4.0, inside, -3.0]), order)
+
+    @pytest.mark.parametrize("model", [
+        OhmicFamilySpectrum(eta=1.0, n=0.5, omega_c=1.0, omega_ref=1.0),
+        OhmicFamilySpectrum(eta=0.5, n=1.0, omega_c=1.0, omega_ref=1.0),
+        OHMIC,
+        CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=7),
+        CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=8),
+        ARRAY_200,
+        ARRAY_CONT,
+    ], ids=["ohmic-n0.5", "ohmic-n1", "ohmic-n3", "ring7", "ring8", "ring200", "continuum"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_energy_array_matches_scalar_calls(self, model, order):
+        # one call per array of energies, as modes samples y(E), gives the
+        # scalar calls' values bit for bit, on both sides of an array's support
+        if isinstance(model, OhmicFamilySpectrum):
+            # order 2 diverges at E = 0 for n <= 1
+            energies = np.linspace(-3.0, 0.0, 301)[: -1 if order == 2 and model.n <= 1 else None]
+        else:
+            lo, hi = model.support
+            energies = np.concatenate([np.linspace(lo - 0.3, lo - 1e-9, 150),
+                                       np.linspace(hi + 1e-9, hi + 0.3, 150)])
+        values = level_shift_integral(model, energies, order)
+        scalar = [level_shift_integral(model, E, order) for E in energies.tolist()]
+        assert all(type(value) is float for value in scalar)
+        assert values.dtype == float and np.array_equal(values, scalar)
+        mode = SystemMode(omega0=0.9)
+        ys = spectral_function_y(model, mode, energies)
+        assert np.array_equal(ys, [spectral_function_y(model, mode, E) for E in energies])
 
 
 class TestValidation:
