@@ -227,7 +227,8 @@ class TestSolver:
 
     def test_long_double_is_extended_precision(self):
         # a platform precondition, not a fallback: the folded leaf matrix
-        # is built in np.clongdouble once per solve and applied in complex128
+        # is built in np.clongdouble once per solve and applied in complex128,
+        # and so are the lattice oracle's two phase tables
         eps = np.finfo(np.longdouble).eps
         assert eps <= 1.1e-19, (
             "the Volterra leaf matrix must be built in an 80-bit or wider long "
