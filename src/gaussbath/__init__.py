@@ -11,18 +11,15 @@ from .boundmode import (
     BoundMode,
     find_bound_mode,
     spectral_function_y,
-    steady_state_amplitude,
     superohmic_criterion,
 )
 from .gaussian import PhysicalityError, measures_from_amplitude
-from .lattice import SingleExcitationChain, build_chain, discrete_bound_modes, exact_amplitude
+from .lattice import build_chain, discrete_bound_modes, exact_amplitude
 from .scenario import ConfigError, ScenarioConfig, parse_config, serialize_config
 from .spectra import (
     CavityArraySpectrum,
     OhmicFamilySpectrum,
-    SpectralModel,
     SupportError,
-    evaluate_density,
     level_shift_integral,
     memory_kernel,
 )
@@ -33,7 +30,6 @@ from .volterra import (
     SystemMode,
     TimeGrid,
     decay_rates,
-    markovian_reference,
     solve_amplitude,
 )
 

@@ -13,7 +13,13 @@ import numpy as np
 from ._ranges import check
 from .spectra import OhmicFamilySpectrum, level_shift_integral
 
-ROOT_RTOL = 1e-12
+# a root stops at 4 ulp of itself (brentq's smallest rtol; its xtol must be
+# > 0): near a band edge h is steep, and an absolute stop there leaves an
+# error in E_b that the residue Z magnifies
+ROOT_RTOL = 4 * np.finfo(float).eps
+ROOT_XTOL = np.finfo(float).tiny
+# residues that agree to this relative accuracy tie, and the lower root is primary
+RESIDUE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -21,7 +27,8 @@ class BoundMode:
     exists: bool
     E_b: float | None = None
     Z: float | None = None
-    # all out-of-band roots as (energy, residue), largest residue first
+    # all out-of-band roots as (energy, residue), largest residue first;
+    # tied residues (``RESIDUE_RTOL``) lowest energy first
     roots: tuple = ()
 
 
@@ -59,7 +66,7 @@ def _solve_root(h, lo, hi):
     # whose import costs more than a typical solve
     from scipy.optimize import brentq
 
-    return brentq(h, lo, hi, rtol=ROOT_RTOL, maxiter=200)
+    return brentq(h, lo, hi, xtol=ROOT_XTOL, rtol=ROOT_RTOL, maxiter=200)
 
 
 def find_bound_mode(model, mode):
@@ -70,7 +77,7 @@ def find_bound_mode(model, mode):
     Z = 1/(1 + int J/w^2 dw) when that integral is finite (n > 1) and none
     when it diverges.  Array: both sides of the support are searched; when
     several roots exist the one with the largest residue is designated
-    primary.
+    primary, and of two residues equal within ``RESIDUE_RTOL`` the lower root.
     """
     h = lambda E: spectral_function_y(model, mode, E) - E
     # each walk starts at edge and heads the way its unit points
@@ -99,7 +106,9 @@ def find_bound_mode(model, mode):
                 pass
     if not roots:
         return BoundMode(exists=False)
-    roots.sort(key=lambda item: -item[1])
+    # the walks found the roots lowest first
+    if len(roots) == 2 and roots[1][1] > roots[0][1] * (1 + RESIDUE_RTOL):
+        roots.reverse()
     E_b, Z = roots[0]
     return BoundMode(exists=True, E_b=E_b, Z=Z, roots=tuple(roots))
 
@@ -113,12 +122,3 @@ def superohmic_criterion(eta, omega_c, omega0):
         raise ValueError("the n = 3 criterion needs eta > 0, got 0")
     margin = omega0 - 2.0 * eta * omega_c**3 / omega0**2
     return margin <= 0.0, margin
-
-
-def steady_state_amplitude(model, mode):
-    """Predicted |u(t -> inf)|^2: the squared residue of the primary bound
-    mode, or 0 when no bound mode exists."""
-    bm = find_bound_mode(model, mode)
-    if not bm.exists:
-        return 0.0
-    return bm.Z**2

@@ -23,9 +23,9 @@ import sys
 from .gaussian import PhysicalityError
 from .scenario import (
     CONFIG_KEYS,
+    FIGURE_SPECS,
     FIGURES,
     ConfigError,
-    _figure_specs,
     parse_config,
     run_command,
 )
@@ -74,7 +74,7 @@ def main(argv=None):
     out = args.out or f"{args.command}.csv"
     try:
         if args.command == "reproduce":
-            command, cfg = _figure_specs()[args.figure]
+            command, cfg = FIGURE_SPECS[args.figure]
         else:
             command, cfg = args.command, _load_config(args)
         written, failures = run_command(command, cfg, out)

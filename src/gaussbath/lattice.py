@@ -19,7 +19,6 @@ leaf matrix, this needs a long double of 80 bits or more.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,13 +26,8 @@ from ._ranges import check
 from .volterra import AmplitudeTrajectory
 
 
-@dataclass(frozen=True, eq=False)
-class SingleExcitationChain:
-    H: np.ndarray = field(repr=False)
-
-
 def build_chain(bath, mode, topology="ring"):
-    """Single-excitation Hamiltonian: system site 0, array sites 1..N.
+    """The (N+1) x (N+1) single-excitation Hamiltonian: system site 0, array sites 1..N.
 
     The system couples to array site 0 with strength g in both topologies;
     ``ring`` closes the array with an extra xi bond, matching the uniform
@@ -53,11 +47,11 @@ def build_chain(bath, mode, topology="ring"):
         a, b = 1 + j, 1 + (j + 1) % N
         H[a, b] += bath.xi
         H[b, a] += bath.xi
-    return SingleExcitationChain(H=H)
+    return H
 
 
-def _spectral_data(chain):
-    lam, V = np.linalg.eigh(chain.H)
+def _spectral_data(H):
+    lam, V = np.linalg.eigh(H)
     return lam, V[0, :] ** 2
 
 
@@ -77,10 +71,10 @@ def _phase_table_sum(energies, weights, dt, count):
     return table.ravel()[:count]
 
 
-def exact_amplitude(chain, grid):
+def exact_amplitude(H, grid):
     """u(t_j) = sum_m |<sys|m>|^2 exp(-i lambda_m t_j) from full diagonalization,
     at t_j = j dt by the two-level phase table of the module docstring."""
-    lam, weights = _spectral_data(chain)
+    lam, weights = _spectral_data(H)
     # on a ring the reflection-odd modes have no weight on the system site
     visible = weights != 0
     u = _phase_table_sum(lam[visible], weights[visible], grid.dt, grid.steps + 1)
@@ -90,8 +84,8 @@ def exact_amplitude(chain, grid):
 EDGE_MARGIN = 1e-9
 
 
-def discrete_bound_modes(chain):
-    """Eigenpairs outside the spectrum of the bare array block H[1:, 1:].
+def discrete_bound_modes(H):
+    """Eigenpairs of the Hamiltonian H outside the spectrum of its bare array block H[1:, 1:].
 
     Returns (eigenvalue, weight) pairs with weight the squared eigenvector
     component on the system site; empty when no eigenvalue clears the
@@ -99,7 +93,7 @@ def discrete_bound_modes(chain):
     exact edges for either topology, inside the band for an open chain or
     an odd ring.
     """
-    lam, weights = _spectral_data(chain)
-    block = np.linalg.eigvalsh(chain.H[1:, 1:])
+    lam, weights = _spectral_data(H)
+    block = np.linalg.eigvalsh(H[1:, 1:])
     outside = (lam < block[0] - EDGE_MARGIN) | (lam > block[-1] + EDGE_MARGIN)
     return [(float(l), float(w)) for l, w in zip(lam[outside], weights[outside])]

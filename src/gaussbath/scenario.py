@@ -311,8 +311,8 @@ def run_scenario(cfg):
 
 def run_oracle(cfg):
     """Exact finite-lattice amplitude pushed through the same CSV pipeline."""
-    chain = build_chain(build_model(cfg), SystemMode(omega0=cfg.omega0), topology=cfg.topology)
-    traj = exact_amplitude(chain, TimeGrid(t_max=cfg.t_max, steps=cfg.steps))
+    H = build_chain(build_model(cfg), SystemMode(omega0=cfg.omega0), topology=cfg.topology)
+    traj = exact_amplitude(H, TimeGrid(t_max=cfg.t_max, steps=cfg.steps))
     return SOLVE_HEADER, _trajectory_rows(cfg, traj)
 
 
@@ -351,8 +351,7 @@ def _mode_summary_lines(model, mode):
         _, margin = superohmic_criterion(model.eta, model.omega_c, mode.omega0)
         lines.append(f"# superohmic_margin={_fmt(margin)}")
     if isinstance(model, CavityArraySpectrum) and model.sites is not None:
-        chain = build_chain(model, mode)
-        modes = discrete_bound_modes(chain)
+        modes = discrete_bound_modes(build_chain(model, mode))
         rendered = ";".join(f"{_fmt(E)}:{_fmt(w)}" for E, w in modes)
         lines.append(f"# lattice_modes={rendered}")
     return lines
@@ -450,29 +449,25 @@ _OHMIC_BASE = dict(model="ohmic", n=3.0, omega_c=1.0, omega0=1.0, r=1.0,
 _ARRAY_BASE = dict(model="array", g=0.02, xi=0.05, omega_C=1.0, N=200, r=1.0)
 
 
-def _figure_specs():
-    """figure -> (command, config); a figure of several runs sweeps one key."""
-    specs = {
-        "fig1a": ("sweep", ScenarioConfig(
-            **_OHMIC_BASE, eta=0.05, sweep="eta",
-            sweep_values=tuple(np.round(np.arange(1, 21) * 0.05, 2)))),
-        "fig1b": ("sweep", ScenarioConfig(
-            **_OHMIC_BASE, eta=0.08, sweep="omega_c",
-            sweep_values=tuple(np.round(np.arange(1, 13) * 0.25, 2)))),
-        "fig2a": ("solve", ScenarioConfig(
-            **_OHMIC_BASE, eta=0.08, sweep="eta", sweep_values=(0.08, 0.5, 1.0))),
-        "fig2b": ("solve", ScenarioConfig(
-            **_OHMIC_BASE, eta=0.08, sweep="omega_c", sweep_values=(1.0, 2.0, 3.0))),
-        "fig4a": ("modes", ScenarioConfig(
-            **_ARRAY_BASE, omega0=0.8, sweep="omega0", sweep_values=(0.8, 0.85, 0.9, 0.95))),
-        "fig4b": ("sweep", ScenarioConfig(
-            **_ARRAY_BASE, omega0=0.8, t_max=500.0, steps=10000, tol=1e-3, sweep="omega0",
-            sweep_values=(0.8, 0.85, 0.9, 0.95))),
-    }
-    # fig5a/fig5b plot |u(t)|^2 of the same runs as fig2a/fig2b
-    specs["fig5a"] = specs["fig2a"]
-    specs["fig5b"] = specs["fig2b"]
-    return specs
-
-
-FIGURES = tuple(sorted(_figure_specs()))
+# figure -> (command, config); a figure of several runs sweeps one key
+FIGURE_SPECS = {
+    "fig1a": ("sweep", ScenarioConfig(
+        **_OHMIC_BASE, eta=0.05, sweep="eta",
+        sweep_values=tuple(np.round(np.arange(1, 21) * 0.05, 2)))),
+    "fig1b": ("sweep", ScenarioConfig(
+        **_OHMIC_BASE, eta=0.08, sweep="omega_c",
+        sweep_values=tuple(np.round(np.arange(1, 13) * 0.25, 2)))),
+    "fig2a": ("solve", ScenarioConfig(
+        **_OHMIC_BASE, eta=0.08, sweep="eta", sweep_values=(0.08, 0.5, 1.0))),
+    "fig2b": ("solve", ScenarioConfig(
+        **_OHMIC_BASE, eta=0.08, sweep="omega_c", sweep_values=(1.0, 2.0, 3.0))),
+    "fig4a": ("modes", ScenarioConfig(
+        **_ARRAY_BASE, omega0=0.8, sweep="omega0", sweep_values=(0.8, 0.85, 0.9, 0.95))),
+    "fig4b": ("sweep", ScenarioConfig(
+        **_ARRAY_BASE, omega0=0.8, t_max=500.0, steps=10000, tol=1e-3, sweep="omega0",
+        sweep_values=(0.8, 0.85, 0.9, 0.95))),
+}
+# fig5a/fig5b plot |u(t)|^2 of the same runs as fig2a/fig2b
+FIGURE_SPECS["fig5a"] = FIGURE_SPECS["fig2a"]
+FIGURE_SPECS["fig5b"] = FIGURE_SPECS["fig2b"]
+FIGURES = tuple(sorted(FIGURE_SPECS))

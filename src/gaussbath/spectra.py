@@ -92,11 +92,8 @@ class CavityArraySpectrum:
         return eps
 
 
-SpectralModel = OhmicFamilySpectrum | CavityArraySpectrum
-
-
 def _coupling_squared(model):
-    """g^2 of an array model, which scales its kernel, density and level shifts."""
+    """g^2 of an array model, which scales its kernel and level shifts."""
     try:
         return float(model.g) ** 2
     except OverflowError:
@@ -104,27 +101,6 @@ def _coupling_squared(model):
             f"the array memory kernel or level shift overflows double precision "
             f"(g={model.g}, whose square exceeds the double range)"
         ) from None
-
-
-def evaluate_density(model, omega):
-    """Spectral density J(omega): zero outside the array band (a finite ring
-    gives the continuum value); the Ohmic family raises ValueError for omega < 0."""
-    if isinstance(model, OhmicFamilySpectrum):
-        w = np.asarray(omega, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("Ohmic-family density is defined for omega >= 0")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(w > 0, w / model.omega_ref, 1.0)
-            dens = model.eta * w * ratio ** (model.n - 1) * np.exp(-w / model.omega_c)
-        dens = np.where(w > 0, dens, 0.0)
-        return float(dens) if np.isscalar(omega) else dens
-    w = np.asarray(omega, dtype=float)
-    # finite N returns the continuum value; the discrete sum enters only
-    # through the memory kernel and the level-shift sums
-    disc = 4 * model.xi**2 - (w - model.omega_C) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = np.where(disc > 0, _coupling_squared(model) / (np.pi * np.sqrt(np.abs(disc))), 0.0)
-    return float(dens) if np.isscalar(omega) else dens
 
 
 _RING_TAIL_TOL = 1e-17  # ring-continuum gap below which the continuum form is used

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._ranges import check
-from .spectra import evaluate_density, memory_kernel
+from .spectra import memory_kernel
 
 VALIDITY_FLOOR = 1e-8  # |u|^2 below this makes -u'/u numerically meaningless
 # leaf lengths L: 5-smooth, so every FFT length L 2^k is one of numpy's fast ones
@@ -367,15 +367,3 @@ def decay_rates(traj):
         omega_shift=z.imag.copy(),
         valid=valid,
     )
-
-
-def markovian_reference(model, mode, grid):
-    """Golden-rule reference u_M(t) = exp(-(i*omega0 + pi*J(omega0)) t).
-
-    No Lamb shift is included.  If omega0 falls outside the spectral support
-    the Markovian rate is zero and u_M is the free evolution.
-    """
-    gamma_m = np.pi * evaluate_density(model, mode.omega0)
-    ts = grid.times()
-    u = np.exp(-(1j * mode.omega0 + gamma_m) * ts)
-    return AmplitudeTrajectory(grid=grid, u=u, dt_used=grid.dt, error_estimate=0.0)

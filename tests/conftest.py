@@ -9,8 +9,9 @@ solver's fast history sum is checked.  The ring-kernel oracle is the
 finite ring's mode sum taken term by term at every time, against which the
 kernel's continuum shortcut inside the light cone is checked.  The
 quadrature oracle is adaptive Gauss-Legendre integration of the spectral
-density itself, against which the closed-form memory kernels and Ohmic
-level shifts are checked.  The Ohmic spectral oracle writes the n = 3
+density J(w) itself, against which the closed-form memory kernels and Ohmic
+level shifts are checked; J is written out here, as the package has no
+density of its own to borrow.  The Ohmic spectral oracle writes the n = 3
 amplitude as its bound-mode pole plus a continuum integral over the
 spectral function, with no time stepping, against which the Ohmic Volterra
 solves are checked.  The per-state covariance route builds the 4x4
@@ -29,7 +30,6 @@ from gaussbath import (
     OhmicFamilySpectrum,
     PhysicalityError,
     SystemMode,
-    evaluate_density,
     find_bound_mode,
 )
 from gaussbath._ranges import check
@@ -193,6 +193,29 @@ def semi_infinite(fun, scale, abs_tol=1e-12, tail=50.0):
         return fun(w) * scale / (1.0 - s) ** 2
 
     return adaptive_gauss(mapped, 0.0, s_max, abs_tol=abs_tol)
+
+
+def evaluate_density(model, omega):
+    """Spectral density J(omega), the quadrature oracles' integrand.
+
+    Ohmic family: eta w (w/omega_ref)^(n-1) exp(-w/omega_c) on w >= 0, a
+    ValueError for w < 0.  Array: the continuum band's
+    g^2 / (pi sqrt(4 xi^2 - (w - omega_C)^2)), zero outside the band; a finite
+    ring gives the continuum value.
+    """
+    w = np.asarray(omega, dtype=float)
+    if isinstance(model, OhmicFamilySpectrum):
+        if np.any(w < 0):
+            raise ValueError("Ohmic-family density is defined for omega >= 0")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(w > 0, w / model.omega_ref, 1.0)
+            dens = model.eta * w * ratio ** (model.n - 1) * np.exp(-w / model.omega_c)
+        dens = np.where(w > 0, dens, 0.0)
+    else:
+        disc = 4 * model.xi**2 - (w - model.omega_C) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens = np.where(disc > 0, model.g**2 / (np.pi * np.sqrt(np.abs(disc))), 0.0)
+    return float(dens) if np.isscalar(omega) else dens
 
 
 def memory_kernel_quadrature(model, t, abs_tol=1e-13):

@@ -16,9 +16,9 @@ from gaussbath import (
     level_shift_integral,
     solve_amplitude,
     spectral_function_y,
-    steady_state_amplitude,
     superohmic_criterion,
 )
+from gaussbath.boundmode import RESIDUE_RTOL
 
 MODE = SystemMode(1.0)
 ARRAY_CONT = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0)
@@ -86,6 +86,20 @@ class TestFindBoundMode:
         assert weights[0] < 1e-3
         assert bm.Z == max(weights)
 
+    def test_tied_residues_make_the_lower_root_primary(self):
+        # at omega0 = omega_C the two roots mirror each other about the band
+        # centre, and their residues agree to rounding (2e-12 relative on
+        # the continuum, where rounding makes the upper one larger)
+        for model in (ARRAY_CONT, CavityArraySpectrum(g=0.3, xi=0.2, omega_C=1.0, sites=8)):
+            bm = find_bound_mode(model, MODE)
+            (E_lo, Z_lo), (_, Z_hi) = sorted(bm.roots)
+            assert Z_hi == pytest.approx(Z_lo, rel=RESIDUE_RTOL)
+            assert bm.roots[0] == (bm.E_b, bm.Z) == (E_lo, Z_lo)
+            assert E_lo < model.support[0]
+        # a residue larger beyond the tie makes the upper root primary
+        bm = find_bound_mode(ARRAY_CONT, SystemMode(1.2))
+        assert bm.E_b > 1.1 and bm.Z > bm.roots[1][1] * (1 + RESIDUE_RTOL)
+
     def test_near_band_system_gives_tiny_residue(self):
         bm = find_bound_mode(ARRAY_CONT, SystemMode(0.95))
         assert bm.exists
@@ -108,7 +122,7 @@ class TestFindBoundMode:
         bm = find_bound_mode(model, MODE)
         assert bm.exists and bm.E_b == 0.0
         assert bm.Z == pytest.approx(Z, rel=1e-15)
-        assert steady_state_amplitude(model, MODE) == pytest.approx(Z**2, rel=1e-15)
+        assert bm.Z**2 == pytest.approx(Z**2, rel=1e-15)
 
     def test_finite_lattice_roots_stay_outside_mode_range(self):
         spec = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
@@ -195,11 +209,11 @@ class TestSuperohmicCriterion:
 
 class TestSteadyStateAmplitude:
     def test_zero_without_mode(self):
-        assert steady_state_amplitude(ohmic(0.08), MODE) == 0.0
+        assert not find_bound_mode(ohmic(0.08), MODE).exists
 
     def test_array_prediction_matches_dynamics(self):
         mode = SystemMode(0.8)
-        z2 = steady_state_amplitude(ARRAY_CONT, mode)
+        z2 = find_bound_mode(ARRAY_CONT, mode).Z ** 2
         assert z2 == pytest.approx(0.971, abs=1e-3)
         spec = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
         traj = solve_amplitude(spec, mode, TimeGrid(500.0, 5000), tol=1e-3)
@@ -208,7 +222,7 @@ class TestSteadyStateAmplitude:
 
     def test_ohmic_prediction_matches_dynamics(self):
         model = ohmic(1.0)
-        z2 = steady_state_amplitude(model, MODE)
+        z2 = find_bound_mode(model, MODE).Z ** 2
         traj = solve_amplitude(model, MODE, TimeGrid(50.0, 2500), tol=1e-3)
         late = np.abs(traj.u[traj.times >= 30.0]) ** 2
         assert late.mean() == pytest.approx(z2, rel=0.02)
@@ -223,9 +237,9 @@ class TestSteadyStateAmplitude:
 
     def test_decoupling_limit_returns_unity(self):
         spec = CavityArraySpectrum(g=0.0, xi=0.05, omega_C=1.0)
-        assert steady_state_amplitude(spec, SystemMode(0.8)) == 1.0
+        assert find_bound_mode(spec, SystemMode(0.8)).Z ** 2 == 1.0
         weak = CavityArraySpectrum(g=1e-4, xi=0.05, omega_C=1.0)
-        assert steady_state_amplitude(weak, SystemMode(0.8)) == pytest.approx(1.0, abs=1e-4)
+        assert find_bound_mode(weak, SystemMode(0.8)).Z ** 2 == pytest.approx(1.0, abs=1e-4)
 
 
 class TestResidueDefinition:

@@ -30,8 +30,8 @@ from gaussbath.cli import _build_parser, main
 from gaussbath.scenario import (
     _CHUNK,
     CONFIG_KEYS,
+    FIGURE_SPECS,
     ScenarioConfig,
-    _figure_specs,
     _solve,
     _text_chunks,
     _trajectory_rows,
@@ -114,7 +114,7 @@ class TestParseConfig:
             cfg = parse_config(text)
             assert parse_config(serialize_config(cfg)) == cfg
         # the canned figure configs hold numpy floats among their sweep values
-        for _, cfg in _figure_specs().values():
+        for _, cfg in FIGURE_SPECS.values():
             assert parse_config(serialize_config(cfg)) == cfg
 
     def test_key_table_lists_every_config_field(self):
@@ -843,7 +843,7 @@ def _lines(data):
 
 def _figure_config(tmp_path, figure):
     """The path of a config file holding ``figure``'s whole config, sweep included."""
-    _, cfg = _figure_specs()[figure]
+    _, cfg = FIGURE_SPECS[figure]
     config = tmp_path / f"{figure}.cfg"
     config.write_text(serialize_config(cfg))
     return config
@@ -851,7 +851,7 @@ def _figure_config(tmp_path, figure):
 
 def _cli_point(tmp_path, figure, command, flags):
     """The CSV lines of a CLI run of ``figure``'s config without its sweep."""
-    _, cfg = _figure_specs()[figure]
+    _, cfg = FIGURE_SPECS[figure]
     config = tmp_path / "base.cfg"
     config.write_text(serialize_config(dataclasses.replace(cfg, sweep=None, sweep_values=None)))
     out = tmp_path / f"{command}.csv"
@@ -861,7 +861,7 @@ def _cli_point(tmp_path, figure, command, flags):
 
 class TestReproduce:
     def test_canned_configs_match_caption_values(self):
-        specs = _figure_specs()
+        specs = FIGURE_SPECS
         assert set(specs) == {
             "fig1a", "fig1b", "fig2a", "fig2b", "fig4a", "fig4b", "fig5a", "fig5b",
         }

@@ -21,20 +21,20 @@ MODE_08 = SystemMode(omega0=0.8)
 class TestBuildChain:
     def test_single_site_matrix(self):
         spec = CavityArraySpectrum(g=0.3, xi=0.05, omega_C=1.0, sites=1)
-        chain = build_chain(spec, SystemMode(0.8))
-        assert np.array_equal(chain.H, [[0.8, 0.3], [0.3, 1.0]])
+        H = build_chain(spec, SystemMode(0.8))
+        assert np.array_equal(H, [[0.8, 0.3], [0.3, 1.0]])
 
     def test_decoupled_block_diagonal(self):
         spec = CavityArraySpectrum(g=0.0, xi=0.05, omega_C=1.0, sites=6)
-        chain = build_chain(spec, MODE_08)
-        assert chain.H[0, 1] == 0.0
-        assert chain.H[1, 0] == 0.0
+        H = build_chain(spec, MODE_08)
+        assert H[0, 1] == 0.0
+        assert H[1, 0] == 0.0
 
     def test_array_block_spectrum_stays_in_band(self):
-        chain = build_chain(
+        H = build_chain(
             CavityArraySpectrum(g=0.0, xi=0.05, omega_C=1.0, sites=200), MODE_08
         )
-        block = np.linalg.eigvalsh(chain.H[1:, 1:])
+        block = np.linalg.eigvalsh(H[1:, 1:])
         assert block.min() >= 0.9 - 1e-12
         assert block.max() <= 1.1 + 1e-12
 
@@ -42,8 +42,8 @@ class TestBuildChain:
         spec = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=8)
         ring = build_chain(spec, MODE_08, topology="ring")
         open_ = build_chain(spec, MODE_08, topology="open")
-        assert ring.H[8, 1] == spec.xi
-        assert open_.H[8, 1] == 0.0
+        assert ring[8, 1] == spec.xi
+        assert open_[8, 1] == 0.0
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -52,10 +52,10 @@ class TestBuildChain:
             build_chain(CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0), MODE_08)
 
 
-def direct_mode_sum(chain, grid):
+def direct_mode_sum(H, grid):
     """sum_m w_m exp(-i lambda_m j dt) term by term in np.clongdouble, at the
     exact times j dt of the float64 step dt."""
-    lam, V = np.linalg.eigh(chain.H)
+    lam, V = np.linalg.eigh(H)
     weights = V[0, :] ** 2
     visible = weights != 0  # a zero-weight mode adds exactly 0 to every term
     lam = lam[visible].astype(np.longdouble)
@@ -79,11 +79,11 @@ class TestExactAmplitude:
         # measured 3.5e-16, 3.1e-16, 1.5e-15 and 2.7e-16; a float64 sum over
         # the float64 times t_j was 2.0e-13, 4.0e-14, 4.9e-14 and 5.0e-14 off
         bath = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=sites)
-        chain = build_chain(bath, SystemMode(omega0), topology=topology)
+        H = build_chain(bath, SystemMode(omega0), topology=topology)
         grid = TimeGrid(t_max, steps)
-        u = exact_amplitude(chain, grid).u
+        u = exact_amplitude(H, grid).u
         assert u.dtype == np.complex128 and u.shape == (steps + 1,)
-        assert np.abs(u - direct_mode_sum(chain, grid)).max() <= 1e-14
+        assert np.abs(u - direct_mode_sum(H, grid)).max() <= 1e-14
 
     def test_decoupled_free_phase(self):
         spec = CavityArraySpectrum(g=0.0, xi=0.05, omega_C=1.0, sites=20)
@@ -99,15 +99,15 @@ class TestExactAmplitude:
         assert np.abs(np.abs(traj.u) ** 2 - expected).max() < 1e-12
 
     def test_probability_conservation(self):
-        chain = build_chain(SPEC_200, MODE_08)
-        lam, V = np.linalg.eigh(chain.H)
+        H = build_chain(SPEC_200, MODE_08)
+        lam, V = np.linalg.eigh(H)
         for t in (0.0, 7.3, 151.0, 499.0):
             state = V @ (np.exp(-1j * lam * t) * V[0, :])
             assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-10
 
     def test_spectral_sum_rule(self):
-        chain = build_chain(SPEC_200, MODE_08)
-        _, V = np.linalg.eigh(chain.H)
+        H = build_chain(SPEC_200, MODE_08)
+        _, V = np.linalg.eigh(H)
         assert abs(np.sum(V[0, :] ** 2) - 1.0) < 1e-12
 
 
@@ -119,8 +119,8 @@ class TestDiscreteBoundModes:
         assert modes[0] == pytest.approx((0.8, 1.0), abs=1e-12)
 
     def test_detuned_dominant_mode_matches_root_finder(self):
-        chain = build_chain(SPEC_200, MODE_08)
-        modes = discrete_bound_modes(chain)
+        H = build_chain(SPEC_200, MODE_08)
+        modes = discrete_bound_modes(H)
         dominant = max(modes, key=lambda m: m[1])
         assert dominant[0] == pytest.approx(0.7977, abs=1e-3)
         assert dominant[1] == pytest.approx(0.985, abs=2e-3)
@@ -141,9 +141,23 @@ class TestDiscreteBoundModes:
             assert abs(Z - w_lat) <= 1e-7
         assert sorted(modes)[0][0] == pytest.approx(0.907066, abs=1e-6)
 
+    @pytest.mark.parametrize("sites, omega0", [(16, 1.3), (200, 0.85)], ids=["ring16", "fig4a"])
+    def test_root_finder_matches_lattice_to_full_precision(self, sites, omega0):
+        # the roots stop at 4 ulp of themselves: measured 2.4e-13 and 6.6e-12
+        # relative in Z; an absolute stop at 2e-12 in E left the small
+        # residues 2.0e-8 and 8.3e-9 off, and E_b up to 6.6e-13
+        spec = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=sites)
+        mode = SystemMode(omega0)
+        modes = sorted(discrete_bound_modes(build_chain(spec, mode)))
+        bm = find_bound_mode(spec, mode)
+        assert len(bm.roots) == len(modes) == 2
+        for (E, Z), (E_lat, w_lat) in zip(sorted(bm.roots), modes):
+            assert E == pytest.approx(E_lat, abs=1e-14)
+            assert Z == pytest.approx(w_lat, rel=1e-10)
+
     def test_mid_band_has_no_dominant_mode(self):
-        chain = build_chain(SPEC_200, SystemMode(1.0))
-        modes = discrete_bound_modes(chain)
+        H = build_chain(SPEC_200, SystemMode(1.0))
+        modes = discrete_bound_modes(H)
         assert all(w <= 0.5 for _, w in modes)
 
 

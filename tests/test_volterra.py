@@ -16,7 +16,6 @@ from gaussbath import (
     SystemMode,
     TimeGrid,
     decay_rates,
-    markovian_reference,
     solve_amplitude,
 )
 from gaussbath.spectra import memory_kernel
@@ -428,18 +427,6 @@ class TestDecayRates:
 
 
 class TestMarkovianReference:
-    def test_rate_value(self):
-        grid = TimeGrid(10.0, 100)
-        ref = markovian_reference(ohmic(0.08), MODE, grid)
-        gamma_m = np.pi * 0.08 * np.exp(-1.0)
-        expected = np.exp(-(1j + gamma_m) * grid.times())
-        assert np.abs(ref.u - expected).max() < 1e-12
-
-    def test_free_limit(self):
-        grid = TimeGrid(10.0, 100)
-        ref = markovian_reference(ohmic(0.0), MODE, grid)
-        assert np.abs(np.abs(ref.u) - 1.0).max() < 1e-12
-
     def test_weak_coupling_envelope(self):
         # |u|^2 tracks exp(-2 pi J(omega0) t) within 10% over one decade
         model = ohmic(0.005)
