@@ -283,57 +283,119 @@ def _midpoints(c):
     return mid
 
 
+def _refined(c):
+    """``c`` with the 4-point midpoints of ``_midpoints`` interleaved: a grid of half the step."""
+    fine = np.empty(2 * c.shape[0] - 1, dtype=c.dtype)
+    fine[::2] = c
+    fine[1::2] = _midpoints(c)
+    return fine
+
+
+def _band_radius(model, omega0):
+    """A bound Omega on |E - omega0| over every eigenvalue E, or inf.
+
+    An array model has a finite ``support`` [lo, hi], and the system
+    couples with strength g to one array site, so by Weyl's bound every
+    eigenvalue E of the single-excitation Hamiltonian satisfies
+    |E - omega0| <= max(|lo - omega0|, |hi - omega0|) + g.  A model without
+    a finite support (the Ohmic family) gives inf.
+    """
+    support = getattr(model, "support", None)
+    if support is None:
+        return math.inf
+    lo, hi = support
+    return max(abs(lo - omega0), abs(hi - omega0)) + model.g
+
+
+def _start_depth(steps, t_max, radius, tol):
+    """s: the ladder starts at steps / 2^s.
+
+    s = 0 for an odd number of output intervals and 1 for an even one.  For
+    a band-limited v = exp(i omega0 t) u (``radius`` Omega finite), s grows
+    while 2^s divides ``steps`` and the 4-point interpolation bound
+    (5/128) (Omega H)^4 stays within tol/2, H the step of the level the first
+    pair of the ladder ends on.
+    """
+    depth = 1 - steps % 2
+    reach = (64 * tol / 5) ** 0.25  # (5/128) x^4 <= tol/2 for x <= reach
+    while steps % (2 << depth) == 0 and radius * t_max * (1 << depth) / steps <= reach:
+        depth += 1
+    return depth
+
+
 def solve_amplitude(model, mode, grid, tol=1e-5):
     """Solve the amplitude equation on ``grid`` with step-halving refinement.
 
     The trapezoid step's error is a series in even powers of dt, so each
     halving cuts its leading term fourfold and the next one sixteenfold.
-    The ladder starts at M/2 steps for an even number M = grid.steps of
-    output intervals and at M for an odd one; level k integrates twice the
-    steps of level k - 1, and u_k is its solution, compared with the level
-    before on the output points every level shares (the even ones when the
-    ladder starts at M/2).  The first pair gives the Richardson value
-    R_1 = u_1 + c/3 with c = u_1 - u_0, whose estimate is max|c|/3, the
-    error of u_1 that R_1 removes; at the odd output points c is carried
-    over from the even ones by 4-point interpolation.  From the second pair
-    on, R_k = u_k + (u_k - u_(k-1))/3 and the solver returns the Romberg
-    value S_k = R_k + (R_k - R_(k-1))/15 with the estimate
-    max|R_k - R_(k-1)|/15, the error of R_k that S_k removes.  It refines
-    until the estimate is below ``tol``, at most to M 2^8 steps, and
-    returns with ``dt_used`` the finest dt and ``error_estimate`` that
-    estimate.  A level whose change from the one before is not finite stops
-    the refinement.
+    The ladder starts at M/2^s steps for M = grid.steps output intervals
+    (see ``_start_depth``): s = 0 for an odd M, 1 for an even one, and more
+    for a band-limited reservoir whose amplitude the 4-point rule
+    interpolates within tol/2 from the coarser steps.  Level k integrates
+    twice the steps of level k - 1; u_k is its solution on its own grid
+    or, once that is finer, on the output grid, and a band-limited one is
+    taken in the frame rotating at omega0.  The first pair gives the
+    Richardson value R_1 = u_1 + c/3 with c = u_1 - u_0, whose estimate is
+    max|c|/3, the error of u_1 that R_1 removes.  From the second pair on,
+    R_k = u_k + (u_k - u_(k-1))/3 and the solver returns the Romberg value
+    S_k = R_k + (R_k - R_(k-1))/15 with the estimate max|R_k - R_(k-1)|/15,
+    the error of R_k that S_k removes.  Each difference is taken on the
+    coarser grid of its pair and carried to the finer one by 4-point
+    interpolation (``_midpoints``), and each estimate is the maximum over
+    the points every level shares.  A value on a grid coarser than the
+    output grid is interpolated up to it the same way, and its estimate
+    gains the interpolation term max|midpoints(v[::2]) - v[1::2]|, the
+    4-point miss of v at twice its step.  The solver refines until the
+    estimate is below ``tol``, at most to M 2^8 steps, and returns with
+    ``dt_used`` the finest dt, coarser than grid.dt when the ladder stopped
+    below the output grid, and ``error_estimate`` that estimate.  A level
+    whose change from the one before is not finite stops the refinement.
     """
     check(tol=tol)
     M = grid.steps
-    stride = 2 - M % 2  # output intervals per interval of the coarsest level
-    start = _integrate(model, mode, grid.t_max, M // stride)
-    coarse = previous = None
+    radius = _band_radius(model, mode.omega0)
+    depth = _start_depth(M, grid.t_max, radius, tol)
+    base = M >> depth
+    # a band-limited amplitude is interpolated in the rotating frame
+    phase = np.exp(1j * mode.omega0 * grid.times()) if math.isfinite(radius) else None
+
+    def level(steps):
+        u = _integrate(model, mode, grid.t_max, steps)[:: max(1, steps // M)]
+        return u if phase is None else u * phase[:: M // (u.shape[0] - 1)]
+
+    coarse = level(base)
+    previous = None
     err = np.inf
-    for k in range(1, _MAX_REFINEMENTS + stride):
-        steps = (M // stride) << k
-        fine = _integrate(model, mode, grid.t_max, steps)[:: steps // M]
-        change = fine[::stride] - (start if coarse is None else coarse[::stride])
-        largest = float(np.abs(change).max())
+    for k in range(1, _MAX_REFINEMENTS + depth + 1):
+        steps = base << k
+        fine = level(steps)
+        ratio = (fine.shape[0] - 1) // (coarse.shape[0] - 1)
+        change = fine[::ratio] - coarse
+        largest = float(np.abs(change[:: (change.shape[0] - 1) // base]).max())
         if not math.isfinite(largest):
             raise ConvergenceError(
                 f"non-finite amplitude at {steps} steps (change {largest})",
                 error_estimate=largest,
             )
-        if coarse is None:
-            if stride == 2:
-                shared = change
-                change = np.empty(M + 1, dtype=complex)
-                change[::2] = shared
-                change[1::2] = _midpoints(shared)
-            value = extrapolated = fine + change / 3
+        if ratio == 2:
+            change = _refined(change)
+        extrapolated = fine + change / 3
+        if previous is None:
+            value = extrapolated
             err = largest / 3
         else:
-            extrapolated = fine + (fine - coarse) / 3
-            romberg = extrapolated - previous
+            romberg = extrapolated[::ratio] - previous
+            err = float(np.abs(romberg[:: (romberg.shape[0] - 1) // base]).max()) / 15
+            if ratio == 2:
+                romberg = _refined(romberg)
             value = extrapolated + romberg / 15
-            err = float(np.abs(romberg[::stride]).max()) / 15
+        if value.shape[0] <= M:
+            err += float(np.abs(_midpoints(value[::2]) - value[1::2]).max())
         if err < tol:
+            while value.shape[0] <= M:
+                value = _refined(value)
+            if phase is not None:
+                value = value * phase.conj()
             return AmplitudeTrajectory(
                 grid=grid, u=value, dt_used=grid.t_max / steps, error_estimate=err
             )

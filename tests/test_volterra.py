@@ -346,11 +346,21 @@ class TestRefinementDepth:
         traj = solve_amplitude(ohmic(eta, omega_c), MODE, TimeGrid(50.0, 2500), tol=1e-3)
         assert round(50.0 / traj.dt_used) <= PLAIN_HALVING_STEPS[eta, omega_c]
 
-    def test_fig4b_point_integrates_5000_then_10000_steps(self, integrated_steps):
+    @pytest.mark.parametrize("eta, omega_c", [(1.0, 1.0), (0.08, 2.0)])
+    def test_benchmark_points_integrate_1250_2500_5000_steps(self, integrated_steps, eta, omega_c):
+        # the Ohmic family has no finite support: its ladder starts at M/2
+        solve_amplitude(ohmic(eta, omega_c), MODE, TimeGrid(50.0, 2500), tol=1e-3)
+        assert integrated_steps == [1250, 2500, 5000]
+
+    def test_fig4b_point_integrates_625_then_1250_steps(self, integrated_steps):
+        # a band-limited ring starts at M/16 (16 is the largest power of two
+        # dividing 10000) and stops on its first Richardson value, which is
+        # interpolated up to the output grid
         ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
         traj = solve_amplitude(ring, SystemMode(omega0=0.8), TimeGrid(500.0, 10000), tol=1e-3)
-        assert integrated_steps == [5000, 10000]
-        assert traj.dt_used == 500.0 / 10000
+        assert integrated_steps == [625, 1250]
+        assert traj.dt_used == 500.0 / 1250
+        assert traj.u.shape == (10001,)
 
     def test_odd_steps_start_at_the_output_grid(self, integrated_steps):
         solve_amplitude(ohmic(1.0), MODE, TimeGrid(50.0, 2501), tol=1e-3)
