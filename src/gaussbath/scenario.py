@@ -155,8 +155,18 @@ def _value_errors(values, model, complete):
         return errors
     try:
         spectrum = build_model(ScenarioConfig(**{**values, "model": model}))
-    except ValueError:  # a model key out of range, named above
-        return errors
+    except ValueError:
+        # a model key out of range, named above, must not hide an overflow of
+        # the others: eta is a factor of the Ohmic kernel and level shift, so
+        # its magnitude overflows as it does, and an array's g^2 overflows
+        # whatever its band, probed on one whose level shift at E = 0 is g^2/sqrt(3)
+        stand_in = (
+            {"eta": abs(values["eta"])} if model == "ohmic" else {"xi": 0.5, "omega_C": 2.0, "N": None}
+        )
+        try:
+            spectrum = build_model(ScenarioConfig(**{**values, **stand_in, "model": model}))
+        except ValueError:
+            return errors
     try:
         with np.errstate(all="ignore"):  # an overflow is reported, not warned of
             # an array's kernel at t = 0 is g^2, which its level shift squares

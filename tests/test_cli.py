@@ -551,6 +551,32 @@ class TestCliEndToEnd:
         assert line.startswith(message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, lines", [
+        (["--model", "ohmic", "--eta", "-1", "--n", "200", "--omega-c", "1"],
+         ["config error: eta must be >= 0, got -1.0",
+          "config error: the Ohmic memory kernel overflows double precision "
+          "(n=200.0, omega_c=1.0, omega_ref=1.0)"]),
+        (["--model", "array", "--g", "1e200", "--xi", "-1"],
+         ["config error: xi must be > 0, got -1.0",
+          "config error: the array memory kernel or level shift overflows double precision "
+          "(g=1e+200, whose square exceeds the double range)"]),
+        (["--model", "array", "--g", "1e200", "--xi", "0.6", "--sites", "0"],
+         ["config error: N must be an integer >= 1, got 0",
+          "config error: omega_C=1.0 must exceed 2*xi=1.2",
+          "config error: the array memory kernel or level shift overflows double precision "
+          "(g=1e+200, whose square exceeds the double range)"]),
+        # without an overflow only the key out of range is reported
+        (["--model", "ohmic", "--eta", "-1", "--n", "3", "--omega-c", "1"],
+         ["config error: eta must be >= 0, got -1.0"]),
+        (["--model", "array", "--g=-1e200", "--xi", "0.05"],
+         ["config error: g must be >= 0, got -1e+200"]),
+    ], ids=("ohmic", "array", "array-band", "ohmic-no-overflow", "array-bad-g"))
+    def test_out_of_range_key_does_not_hide_an_overflow(self, tmp_path, capsys, argv, lines):
+        out = tmp_path / "o.csv"
+        assert main(["solve", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == lines
+        assert not out.exists()
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         config = tmp_path / "hard.cfg"
         config.write_text("eta=1.0\nn=3\nomega_c=1.0\nt_max=20\nsteps=64\ntol=1e-14\n")
