@@ -160,9 +160,10 @@ def _value_errors(values, model, complete):
         # the others: eta is a factor of the Ohmic kernel and level shift, so
         # its magnitude overflows as it does, and an array's g^2 overflows
         # whatever its band, probed on one whose level shift at E = 0 is g^2/sqrt(3)
-        stand_in = (
-            {"eta": abs(values["eta"])} if model == "ohmic" else {"xi": 0.5, "omega_C": 2.0, "N": None}
-        )
+        if model == "ohmic":
+            stand_in = {"eta": abs(values["eta"])}
+        else:
+            stand_in = {"xi": 0.5, "omega_C": 2.0, "N": None}
         try:
             spectrum = build_model(ScenarioConfig(**{**values, **stand_in, "model": model}))
         except ValueError:

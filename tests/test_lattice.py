@@ -14,15 +14,10 @@ from gaussbath import (
     find_bound_mode,
     solve_amplitude,
 )
+from gaussbath.volterra import _band_radius
 
 SPEC_200 = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
 MODE_08 = SystemMode(omega0=0.8)
-
-
-def band_radius(bath, omega0):
-    """Weyl's bound on |E - omega0| over the eigenvalues E of the chain."""
-    lo, hi = bath.support
-    return max(abs(lo - omega0), abs(hi - omega0)) + bath.g
 
 
 class TestBuildChain:
@@ -189,7 +184,7 @@ class TestOracleAgreement:
         mode, grid = SystemMode(omega0=omega0), TimeGrid(t_max=t_max, steps=steps)
         solved = solve_amplitude(bath, mode, grid, tol=1e-3)
         err = np.abs(solved.u - exact_amplitude(build_chain(bath, mode), grid).u).max()
-        assert err < 5 / 128 * (band_radius(bath, omega0) * solved.dt_used) ** 4
+        assert err < 5 / 128 * (_band_radius(bath, omega0) * solved.dt_used) ** 4
         assert err <= solved.error_estimate < 1e-3
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-5])
