@@ -13,11 +13,9 @@ import numpy as np
 from ._ranges import check
 from .spectra import OhmicFamilySpectrum, level_shift_integral
 
-# a root stops at 4 ulp of itself (brentq's smallest rtol; its xtol must be
-# > 0): near a band edge h is steep, and an absolute stop there leaves an
-# error in E_b that the residue Z magnifies
+# a root stops at 4 ulp of itself: near a band edge h is steep, and an
+# absolute stop there leaves an error in E_b that the residue Z magnifies
 ROOT_RTOL = 4 * np.finfo(float).eps
-ROOT_XTOL = np.finfo(float).tiny
 # residues that agree to this relative accuracy tie, and the lower root is primary
 RESIDUE_RTOL = 1e-10
 
@@ -59,14 +57,34 @@ def _bracket(h, edge, f_edge, unit):
         span *= 2
 
 
-def _solve_root(h, lo, hi):
-    if lo == hi:
-        return lo
-    # imported on first use: no other part of gaussbath needs scipy.optimize,
-    # whose import costs more than a typical solve
-    from scipy.optimize import brentq
+def _solve_root(model, h, lo, hi):
+    """The root of h = y - E in the bracket (lo, hi) of ``_bracket``, where
+    h(lo) > 0 > h(hi), by Newton's method on h' = -1 - int J/(w - E)^2 dw.
 
-    return brentq(h, lo, hi, xtol=ROOT_XTOL, rtol=ROOT_RTOL, maxiter=200)
+    Newton starts at the middle of the bracket, and every point it visits
+    narrows the bracket by the sign of h there, so the loop ends.  A step
+    that would leave the bracket is replaced by its bisection.  The root is
+    returned once a Newton step or the bracket is within ``ROOT_RTOL`` of it.
+    """
+    E = (lo + hi) / 2
+    while lo < hi:
+        f = h(E)
+        if f == 0.0:
+            break
+        if f > 0:
+            lo = E
+        else:
+            hi = E
+        step = f / (1.0 + level_shift_integral(model, E, order=2))
+        E += step
+        if abs(step) <= ROOT_RTOL * abs(E):
+            break
+        if not lo < E < hi:
+            E = (lo + hi) / 2
+        # a bracket of two adjacent floats has no midpoint but its ends
+        if hi - lo <= ROOT_RTOL * abs(E) or E == lo or E == hi:
+            break
+    return E
 
 
 def find_bound_mode(model, mode):
@@ -95,7 +113,7 @@ def find_bound_mode(model, mode):
         # when h at the walk's start has the sign of unit
         f_edge = h(edge)
         if f_edge * unit > 0:
-            E_b = _solve_root(h, *_bracket(h, edge, f_edge, unit))
+            E_b = _solve_root(model, h, *_bracket(h, edge, f_edge, unit))
             roots.append((float(E_b), _residue(model, E_b)))
         elif f_edge == 0.0:
             # a root on the edge itself is a bound mode when its residue's

@@ -170,10 +170,7 @@ def _value_errors(values, model, complete):
             return errors
     try:
         with np.errstate(all="ignore"):  # an overflow is reported, not warned of
-            # an array's kernel at t = 0 is g^2, which its level shift squares
-            # too; evaluating the kernel would load scipy.special for J0(0) = 1
-            kernel = [memory_kernel(spectrum, 0.0)] if model == "ohmic" else []
-            at_zero = [*kernel, level_shift_integral(spectrum, 0.0)]
+            at_zero = [memory_kernel(spectrum, 0.0), level_shift_integral(spectrum, 0.0)]
     except ValueError as exc:
         return [*errors, str(exc)]
     if not np.isfinite(at_zero).all():

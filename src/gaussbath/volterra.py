@@ -335,12 +335,16 @@ def _start_depth(steps, t_max, radius, tol):
     a band-limited v = exp(i omega0 t) u (``radius`` Omega finite), s grows
     while 2^s divides ``steps`` and the 4-point interpolation bound
     (5/128) (Omega H)^4 stays within tol/2, H the step of the level the first
-    pair of the ladder ends on.
+    pair of the ladder ends on.  The start keeps at least 4 intervals, or
+    all of them when ``steps`` < 4: an estimate taken on the two or three
+    points of a coarser start can miss the error.
     """
     depth = 1 - steps % 2
     reach = (64 * tol / 5) ** 0.25  # (5/128) x^4 <= tol/2 for x <= reach
     while steps % (2 << depth) == 0 and radius * t_max * (1 << depth) / steps <= reach:
         depth += 1
+    while depth and steps >> depth < 4:
+        depth -= 1
     return depth
 
 

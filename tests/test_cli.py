@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import errno
+import json
 import math
 import os
 import subprocess
@@ -1000,46 +1001,47 @@ class TestReproduce:
         assert _cli_point(tmp_path, "fig4a", "modes", ["--omega0", "0.85"]) == expected
 
 
-STARTUP_CHECK = """
-import sys
+BLOCKED_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # from here on, importing scipy or a submodule fails
 import gaussbath, gaussbath.cli
 # the CSV float writer is imported by the first formatted column, not here
 assert "orjson" not in sys.modules
-print(gaussbath.__file__)
-loaded = lambda: sorted({"scipy.optimize", "scipy.special"} & set(sys.modules))
-print(loaded())
-assert gaussbath.cli.main(sys.argv[1:]) == 0
-print(loaded())
+codes = [gaussbath.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([gaussbath.__file__, codes]))
 """
 
+# one config per code path of the kernels and level shifts: the n = 0.5
+# level shifts take the zeta table and, for the residue, the incomplete
+# gamma function; the continuum and the ring inside its light cone take J0
+BLOCKED_SCIPY_CONFIGS = {
+    "ohmic3": "model=ohmic\neta=0.2\nn=3\nomega_c=1\nsweep=eta\nsweep_values=0.2,1.0\n",
+    "ohmic05": "model=ohmic\neta=0.2\nn=0.5\nomega_c=1\nsweep=eta\nsweep_values=0.2,1.0\n",
+    "continuum": "model=array\ng=0.02\nxi=0.05\nomega_C=1\nsweep=omega0\nsweep_values=0.8,1.0\n",
+    "ring": "model=array\ng=0.02\nxi=0.05\nomega_C=1\nN=16\nsweep=omega0\nsweep_values=0.8,1.0\n",
+}
 
-def _scipy_modules_loaded(argv):
-    """Run ``gaussbath.cli.main(argv)`` in a fresh interpreter; returns the
-    scipy.optimize and scipy.special modules loaded after importing
-    gaussbath and after the run, as printed lists."""
+
+def test_every_command_and_figure_runs_with_scipy_blocked(tmp_path):
+    # scipy is a test dependency only; one child interpreter runs every
+    # subcommand on each config above, and every distinct figure
+    runs, expected = [], []
+    for name, text in BLOCKED_SCIPY_CONFIGS.items():
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text + "omega0=0.8\nt_max=5\nsteps=100\ntol=1e-3\n")
+        for command in ("solve", "sweep", "modes", "oracle"):
+            runs.append([command, "--config", str(config),
+                         "--out", str(tmp_path / f"{name}_{command}.csv")])
+            # the lattice oracle takes only a finite ring
+            expected.append(2 if command == "oracle" and name != "ring" else 0)
+    # fig5a and fig5b are fig2a and fig2b
+    for figure in ("fig1a", "fig1b", "fig2a", "fig2b", "fig4a", "fig4b"):
+        runs.append(["reproduce", "--figure", figure, "--out", str(tmp_path / f"{figure}.csv")])
+        expected.append(0)
     src = str(Path(gaussbath.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", STARTUP_CHECK, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", BLOCKED_SCIPY_RUN, json.dumps(runs)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    child_file, after_import, _, after_run = done.stdout.splitlines()  # main prints the path
+    child_file, codes = json.loads(done.stdout.splitlines()[-1])  # main prints its paths first
     assert Path(child_file).parent == Path(gaussbath.__file__).parent
-    return after_import, after_run
-
-
-def test_ohmic_solve_never_imports_scipy(tmp_path):
-    # importing scipy.optimize and scipy.special costs more than a small
-    # solve, so only the code paths that call them import them
-    out = tmp_path / "solve.csv"
-    argv = ["solve", "--eta", "0.2", "--n", "3", "--omega-c", "1", "--tmax", "5", "--steps", "100",
-            "--out", str(out)]
-    assert _scipy_modules_loaded(argv) == ("[]", "[]")
-    assert out.read_text().startswith("t,u_re,")
-
-
-def test_array_oracle_never_imports_scipy(tmp_path):
-    # the lattice oracle and the config-stage overflow probe need neither
-    out = tmp_path / "oracle.csv"
-    argv = ["oracle", "--model", "array", "--g", "0.02", "--xi", "0.05", "--sites", "8",
-            "--tmax", "5", "--steps", "100", "--out", str(out)]
-    assert _scipy_modules_loaded(argv) == ("[]", "[]")
-    assert out.read_text().startswith("t,u_re,")
+    assert codes == expected, done.stderr

@@ -1,10 +1,13 @@
 """Exact finite-lattice simulator and its role as dynamics oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from gaussbath import (
     CavityArraySpectrum,
+    ConvergenceError,
     SystemMode,
     TimeGrid,
     build_chain,
@@ -18,6 +21,22 @@ from gaussbath.volterra import _band_radius
 
 SPEC_200 = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=200)
 MODE_08 = SystemMode(omega0=0.8)
+
+# (sites, g, omega0, t_max, steps, tol) of short ring solves whose error
+# exceeds their estimate, by 1.03-1.74x, while staying within tol: a ladder
+# that starts at 4 or 5 intervals and stops on its first Romberg value
+SHORT_GRID_MISSES = {
+    (sites, 0.02, 1.0, 100.0, steps, 1e-3) for sites in (4, 8, 16) for steps in (8, 10)
+}
+
+
+def short_grid_cases():
+    cases = itertools.product(
+        (4, 8, 16), (0.02, 0.3), (0.5, 1.0), (5.0, 100.0), (2, 3, 4, 8, 10, 16), (1e-3, 1e-5)
+    )
+    for case in cases:
+        misses = case in SHORT_GRID_MISSES
+        yield pytest.param(*case, marks=pytest.mark.xfail(strict=True) if misses else ())
 
 
 class TestBuildChain:
@@ -200,6 +219,23 @@ class TestOracleAgreement:
         err = np.abs(solved.u - exact_amplitude(build_chain(bath, mode), grid).u).max()
         assert err <= solved.error_estimate < tol
         assert np.abs(solved.u).max() <= 1 + 1e-8
+
+    @pytest.mark.parametrize("sites, g, omega0, t_max, steps, tol", short_grid_cases())
+    def test_short_grids_within_their_estimate(self, sites, g, omega0, t_max, steps, tol):
+        # the ladder starts at 4 intervals or, below 4, at all of them; a
+        # start at 1 left N = 8, g = 0.3, omega0 = 1, T = 100, M = 2 at
+        # 2.0e-2 from the lattice with an estimate of 2.3e-4
+        bath = CavityArraySpectrum(g=g, xi=0.05, omega_C=1.0, sites=sites)
+        mode, grid = SystemMode(omega0=omega0), TimeGrid(t_max=t_max, steps=steps)
+        try:
+            solved = solve_amplitude(bath, mode, grid, tol=tol)
+        except ConvergenceError:
+            # 2^8 halvings of 4 or fewer intervals are too few for these
+            assert (g, t_max, tol) == (0.3, 100.0, 1e-5) and steps <= 4
+            return
+        err = np.abs(solved.u - exact_amplitude(build_chain(bath, mode), grid).u).max()
+        assert err <= tol
+        assert err <= solved.error_estimate
 
     @pytest.mark.parametrize("omega0", [0.8, 1.0])
     def test_continuum_matches_large_ring_inside_its_light_cone(self, omega0):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import evaluate_density, memory_kernel_quadrature, ring_mode_sum, semi_infinite
 from scipy.optimize import brentq
+from scipy.special import gammaincc, j0, zeta
 
 from gaussbath import (
     CavityArraySpectrum,
@@ -16,7 +17,7 @@ from gaussbath import (
     memory_kernel,
     spectral_function_y,
 )
-from gaussbath.spectra import _ring_matches_continuum
+from gaussbath.spectra import _LNGAMMA_TAYLOR, _bessel_j0, _gamma_q, _ring_matches_continuum
 
 OHMIC = OhmicFamilySpectrum(eta=0.08, n=3, omega_c=1.0, omega_ref=1.0)
 ARRAY_CONT = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=None)
@@ -174,6 +175,28 @@ class TestMemoryKernel:
         for call in calls:
             with pytest.raises(ValueError, match=r"overflows double precision \(g=1e\+200"):
                 call()
+
+
+class TestSpecialFunctions:
+    """The package's own J0, zeta table and incomplete gamma function,
+    against scipy.special."""
+
+    def test_j0_matches_scipy(self):
+        # dense grids over [0, 4000], and the last few ulp on each side of
+        # z = 25, where the trapezoid sum hands over to Hankel's expansion
+        near_switch = 25.0 + np.arange(-8, 9) * np.spacing(25.0)
+        z = np.concatenate([np.linspace(0.0, 50.0, 200_001), np.linspace(0.0, 4000.0, 800_001),
+                            near_switch])
+        assert np.abs(_bessel_j0(z) - j0(z)).max() <= 1e-15
+
+    def test_lngamma_coefficients_are_zeta_over_k(self):
+        assert _LNGAMMA_TAYLOR == tuple(float(zeta(k)) / k for k in range(63, 1, -1))
+
+    def test_upper_incomplete_gamma_matches_scipy(self):
+        # the order-2 Ohmic level shift takes Q(1 - n, x) for 0 < n <= 1/2, x <= 2
+        for a in np.linspace(0.5, 1.0, 50, endpoint=False).tolist():
+            for x in np.geomspace(1e-8, 2.0, 100).tolist():
+                assert _gamma_q(a, x) == pytest.approx(gammaincc(a, x), rel=5e-14, abs=0)
 
 
 class TestSupport:
