@@ -1008,8 +1008,22 @@ import gaussbath, gaussbath.cli
 # the CSV float writer is imported by the first formatted column, not here
 assert "orjson" not in sys.modules
 codes = [gaussbath.cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([gaussbath.__file__, codes]))
+loaded = sorted(name for name in sys.modules if name.startswith("scipy."))
+print(json.dumps([gaussbath.__file__, codes, loaded]))
 """
+
+
+def _run_with_scipy_blocked(runs):
+    """Run ``gaussbath.cli.main(argv)`` for each argv of ``runs`` in one
+    fresh interpreter where importing scipy fails; returns the exit codes."""
+    src = str(Path(gaussbath.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", BLOCKED_SCIPY_RUN, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    child_file, codes, loaded = json.loads(done.stdout.splitlines()[-1])  # main prints its paths first
+    assert Path(child_file).parent == Path(gaussbath.__file__).parent
+    assert loaded == [], done.stderr
+    return codes
 
 # one config per code path of the kernels and level shifts: the n = 0.5
 # level shifts take the zeta table and, for the residue, the incomplete
@@ -1038,10 +1052,21 @@ def test_every_command_and_figure_runs_with_scipy_blocked(tmp_path):
     for figure in ("fig1a", "fig1b", "fig2a", "fig2b", "fig4a", "fig4b"):
         runs.append(["reproduce", "--figure", figure, "--out", str(tmp_path / f"{figure}.csv")])
         expected.append(0)
-    src = str(Path(gaussbath.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", BLOCKED_SCIPY_RUN, json.dumps(runs)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    child_file, codes = json.loads(done.stdout.splitlines()[-1])  # main prints its paths first
-    assert Path(child_file).parent == Path(gaussbath.__file__).parent
-    assert codes == expected, done.stderr
+    assert _run_with_scipy_blocked(runs) == expected
+
+
+def test_ohmic_solve_never_imports_scipy(tmp_path):
+    out = tmp_path / "solve.csv"
+    argv = ["solve", "--eta", "0.2", "--n", "3", "--omega-c", "1", "--tmax", "5", "--steps", "100",
+            "--out", str(out)]
+    assert _run_with_scipy_blocked([argv]) == [0]
+    assert out.read_text().startswith("t,u_re,")
+
+
+def test_array_oracle_never_imports_scipy(tmp_path):
+    # the lattice oracle and the config-stage overflow probe need no scipy
+    out = tmp_path / "oracle.csv"
+    argv = ["oracle", "--model", "array", "--g", "0.02", "--xi", "0.05", "--sites", "8",
+            "--tmax", "5", "--steps", "100", "--out", str(out)]
+    assert _run_with_scipy_blocked([argv]) == [0]
+    assert out.read_text().startswith("t,u_re,")
