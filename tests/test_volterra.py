@@ -1,7 +1,9 @@
 """Amplitude-equation solver and time-local decay coefficients."""
 
+import contextlib
 import functools
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -50,9 +52,20 @@ class TestSolver:
     def test_free_evolution(self):
         grid = TimeGrid(t_max=30.0, steps=1500)
         traj = solve_amplitude(ohmic(0.0), MODE, grid, tol=1e-8)
-        expected = np.exp(-1j * grid.times())
-        assert np.abs(traj.u - expected).max() < 1e-12
-        assert np.abs(np.abs(traj.u) - 1.0).max() < 1e-12
+        assert np.array_equal(traj.u, np.exp(-1j * MODE.omega0 * grid.times()))
+        assert traj.error_estimate == 0.0
+
+    @pytest.mark.parametrize("omega0", [0.8, 0.95])
+    @pytest.mark.parametrize("steps", [2000, 10000])
+    @pytest.mark.parametrize("sites", [200, None], ids=["ring200", "continuum"])
+    def test_decoupled_array_is_the_bare_phase(self, sites, omega0, steps):
+        # g = 0 leaves v = 1 on every level, so u is the bare phase formed
+        # once on the output grid, bit for bit, with nothing to estimate
+        bath = CavityArraySpectrum(g=0.0, xi=0.05, omega_C=1.0, sites=sites)
+        grid = TimeGrid(t_max=500.0, steps=steps)
+        traj = solve_amplitude(bath, SystemMode(omega0), grid, tol=1e-3)
+        assert np.array_equal(traj.u, np.exp(-1j * omega0 * grid.times()))
+        assert traj.error_estimate == 0.0
 
     def test_initial_value_is_exactly_one(self):
         traj = solve_amplitude(ohmic(0.3), MODE, TimeGrid(10.0, 500), tol=1e-4)
@@ -365,6 +378,29 @@ class TestRefinementDepth:
     def test_odd_steps_start_at_the_output_grid(self, integrated_steps):
         solve_amplitude(ohmic(1.0), MODE, TimeGrid(50.0, 2501), tol=1e-3)
         assert integrated_steps[:2] == [2501, 5002]
+
+    def test_midpoints_get_five_samples_or_more(self, monkeypatch):
+        # a ladder interpolates only when it starts below the output grid,
+        # at 4 intervals or more, so the 4-point rule always has its 4
+        # samples: over short grids of the Ohmic, ring and continuum
+        # families (some of which give up on tol 1e-5) the fewest it is
+        # handed is 5
+        sizes = []
+
+        def recorded(c):
+            sizes.append(c.shape[0])
+            return _midpoints(c)
+
+        monkeypatch.setattr("gaussbath.volterra._midpoints", recorded)
+        baths = [ohmic(1.0)] + [
+            CavityArraySpectrum(g=g, xi=0.05, omega_C=1.0, sites=sites)
+            for g, sites in ((0.3, 8), (0.02, 200), (0.02, None))
+        ]
+        cases = itertools.product(baths, (2, 3, 4, 5, 6, 8, 10, 16), (5.0, 100.0), (1e-3, 1e-5))
+        for bath, steps, t_max, tol in cases:
+            with contextlib.suppress(ConvergenceError):
+                solve_amplitude(bath, MODE, TimeGrid(t_max, steps), tol=tol)
+        assert min(sizes) == 5
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_smallest_grids_give_finite_amplitudes(self, integrated_steps, count):
