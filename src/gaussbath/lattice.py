@@ -1,21 +1,33 @@
 """Exact single-excitation simulator of one system cavity coupled to an array.
 
-One excitation shared by the system site and N array sites is a dense
+One excitation shared by the system site and N array sites is an
 (N+1) x (N+1) real symmetric eigenproblem, so the survival amplitude
 u(t) = <sys| exp(-i H t) |sys> comes out exact for all times.  This is the
 independent oracle for the Volterra solver and for the bound-mode finder.
+
+On a ring of N >= 3 sites whose system couples to array site 0 only, H
+commutes with the reflection j -> -j (mod N) of the array, and the system
+state is even under it.  The odd states never reach the system site, so
+``_even_sector`` folds H's own entries into the real symmetric matrix on
+the even states: the system, site 0, the pairs (|j> + |N-j>)/sqrt(2) and,
+for an even N, site N/2.  That is floor(N/2) + 2 rows in place of N + 1
+(102 in place of 201 at N = 200), with every eigenpair that carries weight
+on the system site and every distinct ring energy.  An open chain and every
+other H are diagonalised whole.
 
 On the grid t_j = j dt the amplitude is u_j = sum_m w_m exp(-i lambda_m j dt),
 w_m the eigenvector weight on the system site.  ``exact_amplitude`` writes
 j = a B + b with B = ceil(sqrt(M + 1)) and factors each phase as
 exp(-i lambda_m a B dt) exp(-i lambda_m b dt): two tables of about
 sqrt(M) rows each, and one complex128 matrix product gives every u_j.  That
-is 2 sqrt(M) exponentials per mode in place of M.  The tables are built in
-``np.clongdouble`` and rounded once to complex128, so each phase lambda_m j dt
-is exact to the long double's 64-bit mantissa instead of carrying the
-float64 rounding of t_j; u is within 2e-15 of an extended-precision direct
-sum at t = j dt on the N = 200 ring to t = 500.  Like the Volterra solver's
-leaf matrix, this needs a long double of 80 bits or more.
+is 2 sqrt(M) exponentials per mode in place of M.  Each table phase
+lambda_m (step) dt is formed in ``np.longdouble`` and reduced mod 2 pi there,
+so it is exact to the long double's 64-bit mantissa instead of carrying the
+float64 rounding of t_j; only the reduced angle in [-pi, pi] is rounded to
+float64 for a complex128 exponential.  u is within 1.7e-15 of an
+extended-precision direct sum over the same eigenpairs at t = j dt on the
+N = 200 ring to t = 1500.  Like the Volterra solver's leaf matrix, this
+needs a long double of 80 bits or more.
 """
 
 import math
@@ -50,9 +62,40 @@ def build_chain(bath, mode, topology="ring"):
     return H
 
 
+def _even_sector(H):
+    """H on the reflection-even states of a ring (module docstring), or H itself.
+
+    H folds when N >= 3, the system couples to array site 0 alone and the
+    array block is unchanged by the shift j -> j + 1 and by the reflection
+    j -> -j (mod N); an open chain, N <= 2 and any other H come back as they
+    are.  The shift makes every distinct energy of the block an
+    energy of its even states, so the folded block has the bare block's
+    extreme eigenvalues.  The fold is Q^T H Q for the orthonormal columns
+    of Q on the even states, summed from H's entries by index.
+    """
+    N = H.shape[0] - 1
+    block = H[1:, 1:]
+    if (N < 3 or H[0, 2:].any() or H[2:, 0].any()
+            or not np.array_equal(block, np.roll(block, 1, axis=(0, 1)))
+            or not np.array_equal(block[0, 1:], block[0, :0:-1])):
+        return H
+    sites = np.arange(N // 2 + 1)
+    index = np.r_[0, 1 + sites]
+    mirror = np.r_[0, 1 + -sites % N]
+    paired = index != mirror
+    columns = H[:, index] + H[:, mirror] * paired
+    norm = np.where(paired, math.sqrt(0.5), 1.0)
+    return (columns[index] + columns[mirror] * paired[:, None]) * np.outer(norm, norm)
+
+
 def _spectral_data(H):
+    """Eigenvalues of the real symmetric H and their weights on the system site (row 0)."""
     lam, V = np.linalg.eigh(H)
     return lam, V[0, :] ** 2
+
+
+# 2 pi to the long double's precision: fl(2 pi) plus its float64 rounding error
+_TWO_PI = np.longdouble(2 * math.pi) + np.longdouble(2.4492935982947064e-16)
 
 
 def _phase_table_sum(energies, weights, dt, count):
@@ -60,22 +103,28 @@ def _phase_table_sum(energies, weights, dt, count):
 
     With j = a B + b, u[a, b] = sum_m outer[a, m] inner[b, m], where
     outer[a, m] = weights[m] exp(-i energies[m] a B dt) and
-    inner[b, m] = exp(-i energies[m] b dt); both are built in np.clongdouble
-    and rounded once to complex128.
+    inner[b, m] = exp(-i energies[m] b dt).  Each phase is formed and
+    reduced mod 2 pi in np.longdouble, then rounded once to float64 for a
+    complex128 exponential.
     """
     rows = math.isqrt(count - 1) + 1  # B = ceil(sqrt(count))
     phase = np.longdouble(dt) * energies.astype(np.longdouble)
-    inner = np.exp(-1j * np.outer(np.arange(rows), phase))
-    outer = weights * np.exp(-1j * np.outer(np.arange(0, count, rows), phase))
-    table = outer.astype(np.complex128) @ inner.astype(np.complex128).T
-    return table.ravel()[:count]
+
+    def table(steps):
+        angle = np.outer(steps, phase)
+        angle -= _TWO_PI * np.rint(angle / _TWO_PI)
+        return np.exp(-1j * angle.astype(np.float64))
+
+    outer = weights * table(np.arange(0, count, rows))
+    return (outer @ table(np.arange(rows)).T).ravel()[:count]
 
 
 def exact_amplitude(H, grid):
-    """u(t_j) = sum_m |<sys|m>|^2 exp(-i lambda_m t_j) from full diagonalization,
-    at t_j = j dt by the two-level phase table of the module docstring."""
-    lam, weights = _spectral_data(H)
-    # on a ring the reflection-odd modes have no weight on the system site
+    """u(t_j) = sum_m |<sys|m>|^2 exp(-i lambda_m t_j) from exact diagonalization
+    (of the even sector on a ring), at t_j = j dt by the two-level phase
+    table of the module docstring."""
+    lam, weights = _spectral_data(_even_sector(H))
+    # a mode without weight on the system site adds nothing to u
     visible = weights != 0
     u = _phase_table_sum(lam[visible], weights[visible], grid.dt, grid.steps + 1)
     return AmplitudeTrajectory(grid=grid, u=u, dt_used=grid.dt, error_estimate=0.0)
@@ -91,9 +140,12 @@ def discrete_bound_modes(H):
     component on the system site; empty when no eigenvalue clears the
     block's extreme eigenvalues by more than ``EDGE_MARGIN``.  Those are the
     exact edges for either topology, inside the band for an open chain or
-    an odd ring.
+    an odd ring.  A ring is diagonalised on its even sector
+    (``_even_sector``), whose array block holds every distinct ring energy
+    and so the same edges.
     """
-    lam, weights = _spectral_data(H)
-    block = np.linalg.eigvalsh(H[1:, 1:])
+    sector = _even_sector(H)
+    lam, weights = _spectral_data(sector)
+    block = np.linalg.eigvalsh(sector[1:, 1:])
     outside = (lam < block[0] - EDGE_MARGIN) | (lam > block[-1] + EDGE_MARGIN)
     return [(float(l), float(w)) for l, w in zip(lam[outside], weights[outside])]

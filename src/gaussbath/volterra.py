@@ -292,8 +292,8 @@ def _midpoints(c):
 
     Interior midpoints take (-c0 + 9 c1 + 9 c2 - c3)/16, the two outer ones
     the one-sided cubic through the four end samples.  The solver hands it
-    5 samples or more: it interpolates only on ladders that start below the
-    output grid, and those start at 4 intervals or more (``_start_depth``).
+    9 samples or more: it interpolates only on ladders that start below the
+    output grid, and those start at 8 intervals or more (``_start_depth``).
     """
     mid = np.empty(c.shape[0] - 1, dtype=c.dtype)
     mid[1:-1] = (9 * (c[1:-2] + c[2:-1]) - (c[:-3] + c[3:])) / 16
@@ -334,15 +334,15 @@ def _start_depth(steps, t_max, radius, tol):
     a band-limited v = exp(i omega0 t) u (``radius`` Omega finite), s grows
     while 2^s divides ``steps`` and the 4-point interpolation bound
     (5/128) (Omega H)^4 stays within tol/2, H the step of the level the first
-    pair of the ladder ends on.  The start keeps at least 4 intervals, or
-    all of them when ``steps`` < 4: an estimate taken on the two or three
-    points of a coarser start can miss the error.
+    pair of the ladder ends on.  The start keeps at least 8 intervals, or
+    all of them when ``steps`` < 8: an estimate taken on the few points of a
+    coarser start can miss the error.
     """
     depth = 1 - steps % 2
     reach = (64 * tol / 5) ** 0.25  # (5/128) x^4 <= tol/2 for x <= reach
     while steps % (2 << depth) == 0 and radius * t_max * (1 << depth) / steps <= reach:
         depth += 1
-    while depth and steps >> depth < 4:
+    while depth and steps >> depth < 8:
         depth -= 1
     return depth
 

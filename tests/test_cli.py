@@ -606,9 +606,12 @@ class TestCliEndToEnd:
 
         solve = getattr(scenario, solver)
 
+        patched = []
+
         def overshooting(*args, **kwargs):
             traj = solve(*args, **kwargs)
-            return dataclasses.replace(traj, u=traj.u * (1.0 + 1e-6))
+            patched.append(dataclasses.replace(traj, u=traj.u * (1.0 + 1e-6)))
+            return patched[-1]
 
         monkeypatch.setattr(scenario, solver, overshooting)
         out = tmp_path / "x.csv"
@@ -619,7 +622,10 @@ class TestCliEndToEnd:
         ])
         assert code == 3
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("unphysical amplitude: |u| = 1.000001") and "exceeds 1" in line
+        [traj] = patched
+        peak = float(np.abs(traj.u).max())
+        assert peak == pytest.approx(1.000001, abs=1e-12)
+        assert line.startswith(f"unphysical amplitude: |u| = {peak!r} exceeds 1")
         assert not out.exists()
 
     def test_oracle_subcommand(self, tmp_path):

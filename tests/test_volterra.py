@@ -379,12 +379,12 @@ class TestRefinementDepth:
         solve_amplitude(ohmic(1.0), MODE, TimeGrid(50.0, 2501), tol=1e-3)
         assert integrated_steps[:2] == [2501, 5002]
 
-    def test_midpoints_get_five_samples_or_more(self, monkeypatch):
+    def test_midpoints_get_nine_samples_or_more(self, monkeypatch):
         # a ladder interpolates only when it starts below the output grid,
-        # at 4 intervals or more, so the 4-point rule always has its 4
+        # at 8 intervals or more, so the 4-point rule always has its 4
         # samples: over short grids of the Ohmic, ring and continuum
         # families (some of which give up on tol 1e-5) the fewest it is
-        # handed is 5
+        # handed is 9
         sizes = []
 
         def recorded(c):
@@ -400,11 +400,11 @@ class TestRefinementDepth:
         for bath, steps, t_max, tol in cases:
             with contextlib.suppress(ConvergenceError):
                 solve_amplitude(bath, MODE, TimeGrid(t_max, steps), tol=tol)
-        assert min(sizes) == 5
+        assert min(sizes) == 9
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_smallest_grids_give_finite_amplitudes(self, integrated_steps, count):
-        # TimeGrid admits two steps at least; below 4 the ladder starts at all of them
+        # TimeGrid admits two steps at least; below 8 the ladder starts at all of them
         traj = solve_amplitude(ohmic(0.3), MODE, TimeGrid(1.0, count), tol=1e-3)
         assert integrated_steps[0] == count
         assert traj.u.shape == (count + 1,)
