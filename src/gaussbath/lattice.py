@@ -16,18 +16,13 @@ on the system site and every distinct ring energy.  An open chain and every
 other H are diagonalised whole.
 
 On the grid t_j = j dt the amplitude is u_j = sum_m w_m exp(-i lambda_m j dt),
-w_m the eigenvector weight on the system site.  ``exact_amplitude`` writes
-j = a B + b with B = ceil(sqrt(M + 1)) and factors each phase as
-exp(-i lambda_m a B dt) exp(-i lambda_m b dt): two tables of about
-sqrt(M) rows each, and one complex128 matrix product gives every u_j.  That
-is 2 sqrt(M) exponentials per mode in place of M.  Each table phase
-lambda_m (step) dt is formed in ``np.longdouble`` and reduced mod 2 pi there,
-so it is exact to the long double's 64-bit mantissa instead of carrying the
-float64 rounding of t_j; only the reduced angle in [-pi, pi] is rounded to
-float64 for a complex128 exponential.  u is within 1.7e-15 of an
-extended-precision direct sum over the same eigenpairs at t = j dt on the
-N = 200 ring to t = 1500.  Like the Volterra solver's leaf matrix, this
-needs a long double of 80 bits or more.
+w_m the eigenvector weight on the system site.  ``exact_amplitude`` sums it
+with ``spectra._phase_table_sum``, the two-level phase table that also sums
+a finite ring's memory kernel; only that routine is shared, and the
+eigenpairs come from H alone.  u is within 1.7e-15 of an extended-precision
+direct sum over the same eigenpairs at t = j dt on the N = 200 ring to
+t = 1500.  Like the Volterra solver's leaf matrix, the table needs a long
+double of 80 bits or more.
 """
 
 import math
@@ -35,6 +30,7 @@ import math
 import numpy as np
 
 from ._ranges import check
+from .spectra import _phase_table_sum
 from .volterra import AmplitudeTrajectory
 
 
@@ -44,6 +40,8 @@ def build_chain(bath, mode, topology="ring"):
     The system couples to array site 0 with strength g in both topologies;
     ``ring`` closes the array with an extra xi bond, matching the uniform
     g/sqrt(N) momentum-space coupling assumed by the finite-N memory kernel.
+    Every ring gets its closing bond: at N = 1 it is a self-bond, which puts
+    the site at omega_C + 2 xi, the kernel's single mode energy.
     """
     check(topology=topology)
     if bath.sites is None:
@@ -54,7 +52,7 @@ def build_chain(bath, mode, topology="ring"):
     for j in range(1, N + 1):
         H[j, j] = bath.omega_C
     H[0, 1] = H[1, 0] = bath.g
-    bonds = range(N) if topology == "ring" and N > 1 else range(N - 1)
+    bonds = range(N) if topology == "ring" else range(N - 1)
     for j in bonds:
         a, b = 1 + j, 1 + (j + 1) % N
         H[a, b] += bath.xi
@@ -92,31 +90,6 @@ def _spectral_data(H):
     """Eigenvalues of the real symmetric H and their weights on the system site (row 0)."""
     lam, V = np.linalg.eigh(H)
     return lam, V[0, :] ** 2
-
-
-# 2 pi to the long double's precision: fl(2 pi) plus its float64 rounding error
-_TWO_PI = np.longdouble(2 * math.pi) + np.longdouble(2.4492935982947064e-16)
-
-
-def _phase_table_sum(energies, weights, dt, count):
-    """sum_m weights[m] exp(-i energies[m] j dt) for j = 0 .. count - 1.
-
-    With j = a B + b, u[a, b] = sum_m outer[a, m] inner[b, m], where
-    outer[a, m] = weights[m] exp(-i energies[m] a B dt) and
-    inner[b, m] = exp(-i energies[m] b dt).  Each phase is formed and
-    reduced mod 2 pi in np.longdouble, then rounded once to float64 for a
-    complex128 exponential.
-    """
-    rows = math.isqrt(count - 1) + 1  # B = ceil(sqrt(count))
-    phase = np.longdouble(dt) * energies.astype(np.longdouble)
-
-    def table(steps):
-        angle = np.outer(steps, phase)
-        angle -= _TWO_PI * np.rint(angle / _TWO_PI)
-        return np.exp(-1j * angle.astype(np.float64))
-
-    outer = weights * table(np.arange(0, count, rows))
-    return (outer @ table(np.arange(rows)).T).ravel()[:count]
 
 
 def exact_amplitude(H, grid):

@@ -8,14 +8,16 @@ Two reservoir families are supported:
 * ``CavityArraySpectrum`` -- a tight-binding band of cavities with dispersion
   eps_k = omega_C + 2*xi*cos(k) and band [omega_C - 2*xi, omega_C + 2*xi].
   Either the N -> infinity continuum, supported on the band, or a finite ring
-  of N sites, supported on [min eps_m, max eps_m] (``support``).
+  of N sites, whose distinct mode energies and weights form ``modes``,
+  supported on its extreme energies (``support``).
 
 The memory kernel is f(t) = int J(w) exp(-i w t) dw and the level-shift
 integrals int J(w)/(w - E)**order dw feed the bound-mode analysis.  A finite
-ring's kernel is the N-term mode sum; inside the ring's light cone (before an
-excitation can travel round the ring) it equals the continuum closed form to
-below double rounding, so the continuum form is evaluated there instead.
-Every kernel and level shift is a closed form or an exact finite sum.
+ring's kernel and level shifts are sums over ``modes``; inside the ring's
+light cone (before an excitation can travel round the ring) the kernel
+equals the continuum closed form to below double rounding, so the continuum
+form is evaluated there instead.  Every kernel and level shift is a closed
+form or an exact finite sum.
 The special functions they need (J0, zeta(k) and the regularised upper
 incomplete gamma function) are computed here.
 """
@@ -27,6 +29,10 @@ from functools import cached_property
 import numpy as np
 
 from ._ranges import check
+
+
+# 2 pi to the long double's precision: fl(2 pi) plus its float64 rounding error
+_TWO_PI = np.longdouble(2 * math.pi) + np.longdouble(2.4492935982947064e-16)
 
 
 class SupportError(ValueError):
@@ -64,30 +70,29 @@ class CavityArraySpectrum:
 
     @cached_property
     def support(self):
-        """The band, or a ring's extreme mode energies (inside the band for odd N)."""
+        """The band, or omega_C plus a ring's extreme mode offsets (inside the band for odd N)."""
         if self.sites is None:
             return self.band
-        eps = self.mode_energies()
-        return float(eps.min()), float(eps.max())
+        offsets, _ = self.modes
+        return float(self.omega_C + offsets.min()), float(self.omega_C + offsets.max())
 
-    def mode_energies(self):
-        """Ring momenta k_m = 2*pi*m/N give eps_m = omega_C + 2*xi*cos(k_m), cached read-only."""
+    @cached_property
+    def modes(self):
+        """A ring's distinct mode energies as (offsets, weights), cached read-only.
+
+        The momenta +-2 pi m/N share eps_m = omega_C + 2 xi cos(2 pi m/N), so
+        m = 0 .. N//2 covers them, weighted 1/N at m = 0 and m = N/2 and 2/N
+        at each pair.  Each offset 2 xi cos(2 pi m/N) is rounded once from a
+        long double cosine: float64 momenta put up to 1e-16 into it.
+        """
         if self.sites is None:
-            raise ValueError("mode_energies requires a finite site count")
-        return self._mode_energies
-
-    @cached_property
-    def _mode_offsets(self):
-        """2*xi*cos(k_m): each mode's energy above the band centre, cached read-only."""
-        offsets = 2 * self.xi * np.cos(2 * np.pi * np.arange(self.sites) / self.sites)
-        offsets.flags.writeable = False
-        return offsets
-
-    @cached_property
-    def _mode_energies(self):
-        eps = self.omega_C + self._mode_offsets
-        eps.flags.writeable = False
-        return eps
+            raise ValueError("modes requires a finite site count")
+        N = self.sites
+        m = np.arange(N // 2 + 1)
+        offsets = (2 * self.xi * np.cos(_TWO_PI * m / N)).astype(float)
+        weights = np.where((m == 0) | (2 * m == N), 1.0, 2.0) / N
+        offsets.flags.writeable = weights.flags.writeable = False
+        return offsets, weights
 
 
 def _coupling_squared(model):
@@ -123,22 +128,26 @@ def _ring_matches_continuum(model, t_max):
     return log_tail < math.log(_RING_TAIL_TOL)
 
 
-def _mode_sum(ts, energies):
-    """sum_m exp(-i energies[m] t) at each t of the 1-d ``ts``.
+def _phase_table_sum(energies, weights, dt, count):
+    """sum_m weights[m] exp(-i energies[m] j dt) for j = 0 .. count - 1.
 
-    Taken in blocks of about 2**16 phases, so a long time grid never holds
-    its whole (len(ts) x len(energies)) phase matrix at once.
+    With j = a B + b, u[a, b] = sum_m outer[a, m] inner[b, m], where
+    outer[a, m] = weights[m] exp(-i energies[m] a B dt) and
+    inner[b, m] = exp(-i energies[m] b dt): 2 sqrt(count) exponentials per
+    mode in place of count.  Each phase is formed and reduced mod 2 pi in
+    np.longdouble, then rounded once to float64 for a complex128
+    exponential, so it carries no float64 rounding of j dt.
     """
-    ones = np.ones(len(energies))
-    out = np.empty(ts.shape, dtype=complex)
-    step = max(1, 2**16 // len(energies))
-    phases = np.empty((min(step, len(ts)), len(energies)), dtype=complex)
-    for lo in range(0, len(ts), step):
-        rows = ts[lo : lo + step]
-        block = phases[: len(rows)]
-        np.exp(-1j * np.outer(rows, energies), out=block)
-        out[lo : lo + step] = block @ ones
-    return out
+    rows = math.isqrt(count - 1) + 1  # B = ceil(sqrt(count))
+    phase = np.longdouble(dt) * energies.astype(np.longdouble)
+
+    def table(steps):
+        angle = np.outer(steps, phase)
+        angle -= _TWO_PI * np.rint(angle / _TWO_PI)
+        return np.exp(-1j * angle.astype(np.float64))
+
+    outer = weights * table(np.arange(0, count, rows))
+    return (outer @ table(np.arange(rows)).T).ravel()[:count]
 
 
 def _bessel_j0(z):
@@ -183,14 +192,20 @@ def memory_kernel(model, t):
 
     Ohmic family: f(t) = eta * Gamma(n+1) * omega_c^2 * (omega_c/omega_ref)^(n-1)
     / (1 + i omega_c t)^(n+1).  Continuum array: g^2 * exp(-i omega_C t) *
-    J0(2 xi t).  Finite array: the exact N-term mode sum, except when every
-    requested time lies inside the ring's light cone; there the mode sum
-    differs from the continuum form by at most 4 (xi t_max)^N / N! relative to
-    g^2 (below 1e-17 where it is used), and the continuum form is returned.
+    J0(2 xi t).  Finite array: the exact mode sum g^2 * exp(-i omega_C t) *
+    sum_m w_m exp(-i o_m t) over the ring's ``modes`` (o_m, w_m), except
+    when every requested time lies inside the ring's light cone; there the
+    mode sum differs from the continuum form by at most 4 (xi t_max)^N / N!
+    relative to g^2 (below 1e-17 where it is used), and the continuum form
+    is returned.  On the solver's grid t_j = j dt the sum is one phase table
+    (``_phase_table_sum``) at the exact times j dt, each within half an ulp
+    of its float t_j; any other t sums the modes directly.  t must be finite
+    and >= 0.
     """
     ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0):
-        raise ValueError("memory kernel is defined for t >= 0")
+    # a nan turns the min into nan, which fails the comparison
+    if not (ts.min(initial=0.0) >= 0 and ts.max(initial=0.0) < math.inf):
+        raise ValueError("memory kernel is defined for finite t >= 0")
     if isinstance(model, OhmicFamilySpectrum):
         try:
             amp = (
@@ -212,8 +227,12 @@ def memory_kernel(model, t):
         else:
             # the band centre is factored out of the mode phases, so their
             # rounding grows with 2 xi t rather than with omega_C t
-            total = _mode_sum(np.atleast_1d(ts), model._mode_offsets)
-            out = carrier * (total.reshape(ts.shape) / model.sites)
+            offsets, weights = model.modes
+            if ts.ndim == 1 and ts.size > 1 and np.array_equal(ts, ts[1] * np.arange(ts.size)):
+                total = _phase_table_sum(offsets, weights, ts[1], ts.size)
+            else:
+                total = np.exp(-1j * np.multiply.outer(ts, offsets)) @ weights
+            out = carrier * total
     return complex(out) if np.isscalar(t) else out
 
 
@@ -366,11 +385,12 @@ def _continuum_level_shift(model, E, order):
 
 
 def _ring_level_shift(model, E, order):
-    """A finite ring's level shift at a float E or at each E of a 1-d array:
-    one row of mode terms per E, each summed like the single E's."""
-    eps = model.mode_energies()
-    sums = np.sum((eps - np.asarray(E)[..., None]) ** (-float(order)), axis=-1)
-    return _coupling_squared(model) / model.sites * sums
+    """A finite ring's level shift g^2 sum_m w_m/(eps_m - E)^order over its
+    ``modes``, at a float E or at each E of a 1-d array: one row of mode
+    terms per E, each summed like the single E's."""
+    offsets, weights = model.modes
+    terms = weights * (model.omega_C + offsets - np.asarray(E)[..., None]) ** (-float(order))
+    return _coupling_squared(model) * np.sum(terms, axis=-1)
 
 
 def _inside_support(model, E):

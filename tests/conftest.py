@@ -6,8 +6,9 @@ discord oracle minimizes the conditional entropy over an explicit scan of
 Gaussian measurements.  The Volterra oracle is the direct trapezoid loop
 that sums the full memory history at every step, O(M^2), against which the
 solver's fast history sum is checked.  The ring-kernel oracle is the
-finite ring's mode sum taken term by term at every time, against which the
-kernel's continuum shortcut inside the light cone is checked.  The
+finite ring's mode sum taken term by term over all N sites at every time,
+in long double phases, against which the kernel's phase table, its direct
+sum and its continuum shortcut inside the light cone are checked.  The
 quadrature oracle is adaptive Gauss-Legendre integration of the spectral
 density J(w) itself, against which the closed-form memory kernels and Ohmic
 level shifts are checked; J is written out here, as the package has no
@@ -135,15 +136,26 @@ def direct_trapezoid_volterra(kernel, h, dtype=np.complex128):
 def ring_mode_sum(model, ts):
     """Finite-ring memory kernel g^2/N sum_m exp(-i eps_m t), term by term.
 
-    eps_m = omega_C + 2 xi cos(2 pi m / N); the common factor
-    exp(-i omega_C t) is taken out of the sum so that the rounding of the
-    phases stays at the scale of 2 xi t.
+    eps_m = omega_C + 2 xi cos(2 pi m / N) over all N sites, with no pairing
+    of degenerate modes.  The common factor exp(-i omega_C t) is taken out
+    of the sum and evaluated in float64 at the given t.  Each offset
+    2 xi cos(2 pi m / N) and each phase (offset) t is formed in
+    np.longdouble and reduced mod 2 pi there before its complex128
+    exponential, so the sum carries neither the float64 rounding of the
+    offsets nor that of the products (offset) t; a float64 sum had up to
+    1.9e-14 g^2 of it at t = 2000.
     """
     ts = np.asarray(ts, dtype=float)
-    k = 2 * np.pi * np.arange(model.sites) / model.sites
-    terms = np.exp(-1j * np.outer(ts, 2 * model.xi * np.cos(k)))
+    two_pi = 2 * (np.longdouble(np.pi) + np.longdouble(1.2246467991473532e-16))
+    offsets = 2 * np.longdouble(model.xi) * np.cos(two_pi * np.arange(model.sites) / model.sites)
+    times = ts.reshape(-1).astype(np.longdouble)
+    total = np.empty(times.shape, dtype=complex)
+    for lo in range(0, len(times), 2048):
+        angle = np.outer(times[lo : lo + 2048], offsets)
+        angle -= two_pi * np.rint(angle / two_pi)
+        total[lo : lo + 2048] = np.exp(-1j * angle.astype(float)).sum(axis=1) / model.sites
     carrier = np.exp(-1j * model.omega_C * ts)
-    return model.g**2 * carrier * terms.sum(axis=1) / model.sites
+    return model.g**2 * carrier * total.reshape(ts.shape)
 
 
 _NODES, _WEIGHTS = leggauss(24)

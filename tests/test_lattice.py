@@ -25,9 +25,14 @@ MODE_08 = SystemMode(omega0=0.8)
 
 class TestBuildChain:
     def test_single_site_matrix(self):
+        # a one-site ring closes on itself: its self-bond adds 2 xi on site,
+        # the kernel's single mode energy omega_C + 2 xi
         spec = CavityArraySpectrum(g=0.3, xi=0.05, omega_C=1.0, sites=1)
-        H = build_chain(spec, SystemMode(0.8))
+        H = build_chain(spec, SystemMode(0.8), topology="open")
         assert np.array_equal(H, [[0.8, 0.3], [0.3, 1.0]])
+        H = build_chain(spec, SystemMode(0.8), topology="ring")
+        assert np.array_equal(H, [[0.8, 0.3], [0.3, 1.0 + 2 * 0.05]])
+        assert H[1, 1] == spec.support[0] == spec.support[1]
 
     def test_decoupled_block_diagonal(self):
         spec = CavityArraySpectrum(g=0.0, xi=0.05, omega_C=1.0, sites=6)
@@ -135,7 +140,7 @@ class TestExactAmplitude:
     def test_resonant_rabi_oscillation(self):
         spec = CavityArraySpectrum(g=0.25, xi=0.05, omega_C=1.0, sites=1)
         grid = TimeGrid(30.0, 600)
-        traj = exact_amplitude(build_chain(spec, SystemMode(1.0)), grid)
+        traj = exact_amplitude(build_chain(spec, SystemMode(1.0), topology="open"), grid)
         expected = np.cos(0.25 * grid.times()) ** 2
         assert np.abs(np.abs(traj.u) ** 2 - expected).max() < 1e-12
 
@@ -229,7 +234,7 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("tol", [1e-3, 1e-5])
     @pytest.mark.parametrize("omega0", [0.8, 1.0, 1.2], ids=["below", "inside", "above"])
     @pytest.mark.parametrize("g", [0.02, 0.3])
-    @pytest.mark.parametrize("sites", [4, 7, 8, 16, 200])
+    @pytest.mark.parametrize("sites", [3, 4, 7, 8, 16, 200])
     def test_band_limited_start_within_its_estimate(self, sites, g, omega0, tol):
         # the ladder starts below the output grid and interpolates up to it;
         # the band [0.9, 1.1] holds every ring's support
@@ -239,6 +244,19 @@ class TestOracleAgreement:
         err = np.abs(solved.u - exact_amplitude(build_chain(bath, mode), grid).u).max()
         assert err <= solved.error_estimate < tol
         assert np.abs(solved.u).max() <= 1 + 1e-8
+
+    @pytest.mark.parametrize("sites", [1, 2, 3])
+    def test_smallest_rings_match_the_lattice(self, sites):
+        # every ring gets its closing bond, so the one-site lattice sits at
+        # omega_C + 2 xi like the kernel's single mode; when it sat at omega_C
+        # the two differed by 0.125 in |u|^2.  These rings revive to |u| = 1,
+        # so at tol 1e-3 a solve may pass 1 by its error (1.3e-5 at N = 1,
+        # g = 0.3, omega0 = 1, T = 200), which the test above rules out
+        bath = CavityArraySpectrum(g=0.25, xi=0.05, omega_C=1.0, sites=sites)
+        mode, grid = SystemMode(omega0=1.0), TimeGrid(t_max=30.0, steps=600)
+        solved = solve_amplitude(bath, mode, grid, tol=1e-6)
+        err = np.abs(solved.u - exact_amplitude(build_chain(bath, mode), grid).u).max()
+        assert err <= solved.error_estimate < 1e-6
 
     @pytest.mark.parametrize("sites, g, omega0, t_max, steps, tol", itertools.product(
         (4, 8, 16), (0.02, 0.3), (0.5, 1.0), (5.0, 100.0), (2, 3, 4, 8, 10, 16), (1e-3, 1e-5)

@@ -127,15 +127,23 @@ class TestMemoryKernel:
             prev = dev
         assert prev < 1e-12
 
-    @pytest.mark.parametrize("sites", [1, 4, 16, 50, 200, 400])
+    @pytest.mark.parametrize("sites", [1, 4, 7, 16, 50, 200, 400])
     def test_ring_kernel_matches_mode_sum(self, sites):
         # the windows fall on both sides of the switch to the continuum form
-        # (N=16 switches at t=10 only, N=400 keeps it up to t=2000)
+        # (N=16 switches at t=10 only, N=400 keeps it up to t=2000), and N = 7
+        # and 200 also run the solver's grid at T = 1500, M = 30000 through
+        # the phase table (measured 7.6e-15 and 1.6e-15).  The geometric
+        # times are off every grid t_j = j dt and take the direct sum, whose
+        # float64 phases o_m t round by up to 0.5 ulp(2 xi t): 7e-15 at
+        # t = 1000, where they stop, and 1.4e-14 at t = 2000
         model = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=sites)
-        for t_max in (10.0, 100.0, 500.0, 2000.0):
-            ts = np.linspace(0.0, t_max, 4001)
+        windows = [np.linspace(0.0, t_max, 4001) for t_max in (10.0, 100.0, 500.0, 2000.0)]
+        windows.append(np.geomspace(1e-3, 1000.0, 4001))
+        if sites in (7, 200):
+            windows.append(1500.0 / 30000 * np.arange(30001))
+        for ts in windows:
             dev = np.abs(memory_kernel(model, ts) - ring_mode_sum(model, ts)).max()
-            assert dev <= 1e-14 * 0.02**2, (sites, t_max, dev)
+            assert dev <= 1e-14 * 0.02**2, (sites, ts[-1], dev)
         scalar = memory_kernel(model, 3.0)
         assert abs(scalar - ring_mode_sum(model, [3.0])[0]) <= 1e-14 * 0.02**2
 
@@ -157,8 +165,11 @@ class TestMemoryKernel:
             assert gap > 0.1 * 0.02**2
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            memory_kernel(OHMIC, -1.0)
+        # and non-finite times, which gave nan with a RuntimeWarning
+        for model in (OHMIC, ARRAY_CONT, ARRAY_200):
+            for t in (-1.0, math.nan, math.inf, [0.0, 600.0, math.inf]):
+                with pytest.raises(ValueError, match="finite t >= 0"):
+                    memory_kernel(model, t)
 
     def test_overflowing_exponent_is_a_value_error(self):
         # Gamma(n+1) overflows above n = 170.6
@@ -205,7 +216,7 @@ class TestSupport:
 
     def test_odd_ring_support_is_its_extreme_mode_energies(self):
         ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=7)
-        eps = ring.mode_energies()
+        eps = ring.omega_C + ring.modes[0]
         assert ring.support == (eps.min(), eps.max())
         assert ring.support[0] > ring.band[0] + 1e-3
         # the lower band edge lies outside an odd ring's support
@@ -213,9 +224,40 @@ class TestSupport:
 
     def test_mode_energies_built_once_and_read_only(self):
         ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=7)
-        assert ring.mode_energies() is ring.mode_energies()
-        with pytest.raises(ValueError):
-            ring.mode_energies()[0] = 0.0
+        assert ring.modes is ring.modes
+        for array in ring.modes:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("sites", [1, 2, 3, 4, 7, 8, 200, 201])
+    def test_modes_pair_the_ring_momenta(self, sites):
+        ring = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=sites)
+        offsets, weights = ring.modes
+        assert ring.modes is ring.modes
+        for array in (offsets, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # site m's momentum 2 pi m / N shares its energy with -2 pi m / N, so
+        # the pair lists m = 0 .. N//2, each weighted by its share of the N
+        # sites; the float64 momenta of ``full`` round its offsets by up to
+        # 1.0e-16 at N = 200
+        m = np.arange(sites)
+        folded = np.minimum(m, sites - m)
+        full = 2 * 0.05 * np.cos(2 * np.pi * m / sites)
+        assert len(offsets) == sites // 2 + 1
+        assert np.abs(offsets[folded] - full).max() <= 2e-16
+        assert np.array_equal(weights, np.bincount(folded) / sites)
+        assert abs(weights.sum() - 1.0) <= 4 * np.spacing(1.0)
+        # the full ring's extreme energies: bit for bit for an even N, whose
+        # band edges are 2 xi cos 0 and 2 xi cos pi; an odd N's lower edge may
+        # move where the float64 momenta of its mirrored pair round apart, by
+        # up to 3 ulp over N <= 400 and by at most one here
+        eps = ring.omega_C + full
+        assert ring.support[1] == eps.max()
+        if sites % 2 == 0:
+            assert ring.support[0] == eps.min()
+        else:
+            assert abs(ring.support[0] - eps.min()) <= np.spacing(eps.min())
 
 
 class TestLevelShift:
@@ -350,9 +392,9 @@ class TestLevelShift:
         for bad in (0.9, 1.0, 1.1):
             with pytest.raises(SupportError):
                 level_shift_integral(ARRAY_CONT, bad, 1)
-        eps = ARRAY_200.mode_energies()
+        lowest = ARRAY_200.omega_C + ARRAY_200.modes[0].min()
         with pytest.raises(SupportError):
-            level_shift_integral(ARRAY_200, float(eps.min()), 1)
+            level_shift_integral(ARRAY_200, float(lowest), 1)
 
     @pytest.mark.parametrize("model", [OHMIC, ARRAY_CONT, ARRAY_200],
                              ids=["ohmic", "continuum", "ring200"])
@@ -409,7 +451,8 @@ class TestValidation:
 
     def test_numpy_integer_site_count_accepted(self):
         model = CavityArraySpectrum(g=0.02, xi=0.05, omega_C=1.0, sites=np.int64(8))
-        assert len(model.mode_energies()) == 8
+        offsets, weights = model.modes
+        assert len(offsets) == 5 and weights.sum() == 1.0
 
     def test_zero_coupling_is_allowed(self):
         # the decoupled limit is exercised by the dynamics contracts
