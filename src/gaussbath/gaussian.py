@@ -7,9 +7,10 @@ A = 1 + 2 U s^2 and |w| = U s c, its symplectic invariants
 (vacuum = 1) are
 
     I1 = I2 = A^2,    I3 = -4 |w|^2,    I4 = nu^4,    nu- = nu+ = nu,
-    nu^2 = A^2 - 4 |w|^2 = 1 + 4 U s^2 (1 - U),
+    nu^2 = A^2 - 4 |w|^2 = 1 + 4 U s^2 (1 - U)
 
-and every correlation measure used here -- Gaussian quantum discord,
+(nu and I4 are formed from the last form, in which nothing cancels), and
+every correlation measure used here -- Gaussian quantum discord,
 mutual information, classical correlation and logarithmic negativity --
 has a closed form in U and r.  All entropic quantities are in nats.
 """
@@ -58,8 +59,13 @@ def measures_from_amplitude(u, r):
 
     and there sqrt(m) = A - 4|w|^2 / (A + 1).  Negative discord roundoff is
     clamped to zero.  |u| up to 1 + AMPLITUDE_TOL counts as 1; a larger |u|
-    raises PhysicalityError.  Returns a dict of arrays keyed like the CSV
-    columns.
+    raises PhysicalityError.
+
+    Returns a dict of arrays keyed like the CSV columns: I1, I3, I4,
+    nu_minus, discord, mutual_info, classical and log_neg, with nu and I4
+    formed from nu^2 = 1 + 4 U s^2 (1 - U) alone.  The columns I2, nu_plus
+    and branch are I1, nu_minus and "top" on this family, and are not
+    repeated.
     """
     check(r=r)
     u = np.asarray(u, dtype=complex)
@@ -72,25 +78,19 @@ def measures_from_amplitude(u, r):
     eps_A = 2.0 * U * sh * sh
     A = 1.0 + eps_A
     wabs = U * sh * ch
-    I1 = A * A
-    I3 = -4.0 * wabs * wabs
-    I4 = (A * A - 4.0 * wabs * wabs) ** 2
-    nu = np.sqrt(A * A - 4.0 * wabs * wabs)
     spread = 2.0 * eps_A * (1.0 - U)  # nu^2 - 1
+    nu = np.sqrt(1.0 + spread)
     f_A = _entropy_1p(eps_A)
     f_nu = _entropy_1p(spread / (nu + 1.0))
     discord = np.maximum(f_A - 2.0 * f_nu + _entropy_1p(spread / (A + 1.0)), 0.0)
     mutual = 2.0 * (f_A - f_nu)
     return {
-        "I1": I1,
-        "I2": I1.copy(),
-        "I3": I3,
-        "I4": I4,
+        "I1": A * A,
+        "I3": -4.0 * wabs * wabs,
+        "I4": (1.0 + spread) ** 2,
         "nu_minus": nu,
-        "nu_plus": nu.copy(),
         "discord": discord,
         "mutual_info": mutual,
         "classical": mutual - discord,
         "log_neg": -np.log1p(-2.0 * U * sh * np.exp(-r)),
-        "branch": np.full(U.shape, "top"),
     }

@@ -9,7 +9,8 @@ writer, one call per column and chunk.  Where ``repr`` writes plain
 decimals (0 and 1e-4 <= |x| < 1e16) both write the same shortest digits
 the same way; the other cells, whose ``repr`` has an exponent or is not
 finite, are written by ``repr(float(x))`` itself.  Every cell is therefore
-exactly ``repr(float(x))``.
+exactly ``repr(float(x))``, except nan, the one mark of a value that is not
+available, which is written ``NA``.
 
 A run over several values of one key is a sweep: ``sweep=<key>`` and
 ``sweep_values=<v1,v2,...>``.  ``run_command`` runs any CLI command on any
@@ -263,13 +264,14 @@ def _solve(cfg):
 
 
 def _float_texts(values):
-    """repr(float(x)) of each entry of a float array, as a list of strings.
+    """repr(float(x)) of each entry of a float array, NA for a nan, as a
+    list of strings.
 
     orjson writes the shortest round-trip digits of every finite double, and
     lays them out as repr does wherever repr writes no exponent: 0 and
     1e-4 <= |x| < 1e16, the same rule repr itself uses.  Outside that range
     (where orjson writes 1e16 for repr's 1e+16, 0.00001 for 1e-05 and null
-    for nan or inf) the cells are overwritten by repr."""
+    for nan or inf) the cells are overwritten by repr, or by NA for nan."""
     # imported on first use, so importing gaussbath.cli does not pay for it
     import orjson
 
@@ -278,36 +280,32 @@ def _float_texts(values):
     size = np.abs(values)
     plain = (size >= 1e-4) & (size < 1e16) | (values == 0)
     for i in np.flatnonzero(~plain).tolist():
-        texts[i] = repr(float(values[i]))
+        x = float(values[i])
+        texts[i] = repr(x) if x == x else NA  # nan alone is unequal to itself
     return texts
 
 
 def _text_chunks(arrays):
-    """Shortest round-trip text of equal-length float arrays, _CHUNK rows at
-    a time: yields (lo, texts), one list of strings per array for the rows
-    from lo on, each string exactly repr(float(x)) (see _float_texts)."""
+    """Text of equal-length float arrays, _CHUNK rows at a time: yields one
+    list of strings per array (see _float_texts) for each chunk of rows."""
     for lo in range(0, len(arrays[0]), _CHUNK):
-        yield lo, [_float_texts(a[lo : lo + _CHUNK]) for a in arrays]
+        yield [_float_texts(a[lo : lo + _CHUNK]) for a in arrays]
 
 
 def _trajectory_rows(cfg, traj):
     rates = decay_rates(traj)
     meas = measures_from_amplitude(traj.u, cfg.r)
     u = traj.u
-    # measures_from_amplitude gives I2 = I1 and nu_plus = nu_minus on this
-    # state family, so each pair is formatted once and written twice
+    # on this state family I2 = I1, nu_plus = nu_minus and the discord branch
+    # is always the top one, so I1 and nu are formatted once and written twice
     arrays = (
         traj.times, u.real, u.imag, np.abs(u) ** 2, rates.gamma, rates.omega_shift,
         meas["I1"], meas["I3"], meas["I4"], meas["nu_minus"],
         meas["discord"], meas["mutual_info"], meas["classical"], meas["log_neg"],
     )
     rows = []
-    for lo, (t, re, im, abs2, gamma, shift, i1, i3, i4, nu, *measures) in _text_chunks(arrays):
-        valid = rates.valid[lo : lo + _CHUNK].tolist()
-        gamma = [text if ok else NA for text, ok in zip(gamma, valid)]
-        shift = [text if ok else NA for text, ok in zip(shift, valid)]
-        branch = meas["branch"][lo : lo + _CHUNK].tolist()
-        cells = zip(t, re, im, abs2, gamma, shift, i1, i1, i3, i4, nu, nu, *measures, branch)
+    for t, re, im, abs2, gamma, shift, i1, i3, i4, nu, *measures in _text_chunks(arrays):
+        cells = zip(t, re, im, abs2, gamma, shift, i1, i1, i3, i4, nu, nu, *measures, repeat("top"))
         rows.extend(map(",".join, cells))
     return rows
 
@@ -338,7 +336,7 @@ def run_sweep(cfg, *lead):
     meas = measures_from_amplitude(traj.u, cfg.r)
     arrays = (traj.times, meas["discord"], np.abs(traj.u) ** 2, meas["log_neg"])
     rows = []
-    for _, columns in _text_chunks(arrays):
+    for columns in _text_chunks(arrays):
         rows.extend(map(",".join, zip(*map(repeat, lead), *columns)))
     return SWEEP_HEADER, rows
 
@@ -387,7 +385,7 @@ def run_modes(cfg, *lead):
     mode = SystemMode(omega0=cfg.omega0)
     rows = []
     for grid in _mode_sample_energies(model):
-        for _, (energies, values) in _text_chunks([grid, spectral_function_y(model, mode, grid)]):
+        for energies, values in _text_chunks([grid, spectral_function_y(model, mode, grid)]):
             rows.extend(map(",".join, zip(*map(repeat, lead), energies, values)))
     rows.extend(_mode_summary_lines(model, mode))
     return "E,y", rows

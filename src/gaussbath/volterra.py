@@ -434,7 +434,8 @@ def decay_rates(traj):
 
     u' is estimated by centered differences (second-order one-sided stencils
     at the endpoints).  Samples with |u|^2 below the validity floor are
-    flagged invalid rather than dropped.
+    flagged invalid rather than dropped: ``valid`` is False there, and both
+    Gamma and Omega are nan.
     """
     u = traj.u
     h = traj.grid.dt
@@ -443,11 +444,6 @@ def decay_rates(traj):
     du[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
     du[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
     valid = np.abs(u) ** 2 >= VALIDITY_FLOOR
-    z = np.full(u.shape, np.nan + 0j)
+    z = np.full(u.shape, complex(np.nan, np.nan))
     z[valid] = -du[valid] / u[valid]
-    return DecayRateSeries(
-        times=traj.times,
-        gamma=z.real.copy(),
-        omega_shift=z.imag.copy(),
-        valid=valid,
-    )
+    return DecayRateSeries(times=traj.times, gamma=z.real, omega_shift=z.imag, valid=valid)

@@ -244,18 +244,20 @@ class TestCsvText:
         values = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1.0000000000000002,
                   0.1, 1 / 3, 2 / 3, 123456789.01234567, -9.876543210987654e-300,
                   math.pi, math.inf, -math.inf, math.nan]
-        (lo, (texts,)), = _text_chunks([np.array(values)])
-        assert lo == 0
-        assert texts == [repr(float(x)) for x in values]
+        (texts,), = _text_chunks([np.array(values)])
+        # nan, the one mark of a value that is not available, is written NA
+        assert texts == [repr(float(x)) for x in values[:-1]] + ["NA"]
         assert texts[0] == "-0.0" and texts[2] == "5e-324" and texts[5] == "1e+16"
+        assert texts[-3:] == ["inf", "-inf", "NA"]
         rng = np.random.default_rng(11)
         for length in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
             a = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)
             b = rng.uniform(-1.0, 1.0, length)
             chunks = list(_text_chunks([a, b]))
-            assert [lo for lo, _ in chunks] == list(range(0, length, _CHUNK))
+            sizes = [min(_CHUNK, length - lo) for lo in range(0, length, _CHUNK)]
+            assert [[len(column) for column in texts] for texts in chunks] == [[n, n] for n in sizes]
             for column, array in enumerate((a, b)):
-                cells = [text for _, texts in chunks for text in texts[column]]
+                cells = [text for texts in chunks for text in texts[column]]
                 assert cells == [repr(float(x)) for x in array]
         # where repr switches between plain decimals and exponent notation
         switch = [1e-4, np.nextafter(1e-4, 0), 0.00010000000000000002, 5e-5, 1e15,
@@ -269,7 +271,7 @@ class TestCsvText:
         plain = plain[(np.abs(plain) >= 1e-4) & (np.abs(plain) < 1e16)][:200_000]
         assert len(bits) == len(plain) == 200_000
         for array in (np.array(switch + [-x for x in switch]), u.real, bits, plain):
-            cells = [text for _, (texts,) in _text_chunks([array]) for text in texts]
+            cells = [text for (texts,) in _text_chunks([array]) for text in texts]
             assert cells == [repr(float(x)) for x in array]
 
     def test_rows_match_per_cell_repr(self):
@@ -279,19 +281,19 @@ class TestCsvText:
         rows = _trajectory_rows(cfg, traj)
         rates = decay_rates(traj)
         meas = measures_from_amplitude(traj.u, cfg.r)
-        assert np.array_equal(meas["I2"], meas["I1"])
-        assert np.array_equal(meas["nu_plus"], meas["nu_minus"])
         assert not rates.valid.all() and rates.valid.any()
+        # I2 = I1 and nu_plus = nu_minus on this family, and the branch is top
         columns = [traj.times, traj.u.real, traj.u.imag, np.abs(traj.u) ** 2,
                    rates.gamma, rates.omega_shift,
-                   *(meas[name] for name in ("I1", "I2", "I3", "I4", "nu_minus", "nu_plus",
+                   *(meas[name] for name in ("I1", "I1", "I3", "I4", "nu_minus", "nu_minus",
                                              "discord", "mutual_info", "classical", "log_neg"))]
         assert len(rows) == len(traj.times) > 2 * _CHUNK
         for i, row in enumerate(rows):
-            cells = [repr(float(col[i])) for col in columns] + [str(meas["branch"][i])]
-            if not rates.valid[i]:
-                cells[4] = cells[5] = "NA"
-            assert row == ",".join(cells)
+            cells = [repr(float(col[i])) if col[i] == col[i] else "NA" for col in columns]
+            # both rates, and only they, are NA exactly where they are not valid
+            assert [j for j, cell in enumerate(cells) if cell == "NA"] == (
+                [] if rates.valid[i] else [4, 5])
+            assert row == ",".join([*cells, "top"])
 
 
 def _run_sweep(tmp_path, cfg):
