@@ -14,6 +14,8 @@ _FLOOR = {"eta": ">= 0", "g": ">= 0"} | dict.fromkeys(
 )
 _INTEGER_FROM = {"steps": 2, "N": 1}  # N = None selects the continuum
 _RULED = {*_FLOOR, *_INTEGER_FROM, "r", "topology"}
+# the pure state's I1 = cosh(2r)^2 overflows a double from r = 177.7923 on
+R_MAX = 177.79
 
 
 def _problem(key, value):
@@ -31,9 +33,11 @@ def _problem(key, value):
         return f"topology must be 'ring' or 'open', got {value!r}"
     real = isinstance(value, numbers.Real)
     if key == "r":
-        if real and math.isfinite(value) and value >= 0:
-            return None
-        return f"squeezing parameter r must be finite and >= 0, got {value}"
+        if not (real and math.isfinite(value) and value >= 0):
+            return f"squeezing parameter r must be finite and >= 0, got {value}"
+        if value > R_MAX:
+            return f"squeezing parameter r must be <= {R_MAX}, where cosh(2r)^2 overflows, got {value}"
+        return None
     if not real:
         return f"{key} must be a real number, got {value!r}"
     if not math.isfinite(value):

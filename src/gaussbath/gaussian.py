@@ -27,14 +27,17 @@ class PhysicalityError(ValueError):
 
 
 def _entropy_1p(eps):
-    """f(1 + eps) = (1 + eps/2) log1p(eps/2) - (eps/2) ln(eps/2), f(1) = 0.
+    """f(1 + eps) = log1p(h) + h log1p(1/h) with h = eps/2, f(1) = 0.
 
     f(x) = ((x+1)/2) ln((x+1)/2) - ((x-1)/2) ln((x-1)/2) is the von Neumann
-    entropy of a thermal mode with symplectic eigenvalue x; taking eps = x - 1
-    as the argument keeps its relative accuracy as x approaches 1.
+    entropy of a thermal mode with symplectic eigenvalue x.  Written in
+    h = (x - 1)/2 as a sum of two non-negative terms, nothing cancels at any
+    h: it is within 2.3e-16 of 60-digit values over h in [1e-14, 1e14].  h
+    is clamped at the smallest normal double inside 1/h, which keeps 1/h
+    finite and leaves 0 at h = 0.
     """
     h = 0.5 * eps
-    return (1.0 + h) * np.log1p(h) - h * np.log(np.where(h > 0, h, 1.0))
+    return np.log1p(h) + h * np.log1p(1.0 / np.maximum(h, np.finfo(float).tiny))
 
 
 def measures_from_amplitude(u, r):
@@ -49,9 +52,10 @@ def measures_from_amplitude(u, r):
 
     discord D = f(1+eps_A) - 2 f(1+eps_nu) + f(1+eps_m), mutual information
     I = 2 f(1+eps_A) - 2 f(1+eps_nu), classical correlation I - D and
-    log-negativity -ln(nu~-) = -log1p(-2 U s e^-r), with
-    nu~- = A - 2|w| the smallest symplectic eigenvalue of the partial
-    transpose.  m is the measurement term of the two-branch discord formula
+    log-negativity -ln(nu~-), with nu~- = A - 2|w| = (1 - U) + U e^-2r the
+    smallest symplectic eigenvalue of the partial transpose, taken as
+    -log1p(-2 U s e^-r) where 2 U s e^-r = U (1 - e^-2r) < 1/2.  m is the
+    measurement term of the two-branch discord formula
     (Adesso & Datta, PRL 105, 030501 (2010)).  Its branch is always the top
     one on this family, because
 
@@ -59,7 +63,13 @@ def measures_from_amplitude(u, r):
 
     and there sqrt(m) = A - 4|w|^2 / (A + 1).  Negative discord roundoff is
     clamped to zero.  |u| up to 1 + AMPLITUDE_TOL counts as 1; a larger |u|
-    raises PhysicalityError.
+    raises PhysicalityError, and r above _ranges.R_MAX = 177.79, where the
+    pure state's I1 = cosh(2r)^2 overflows, raises ValueError.
+
+    Against 80-digit values for U in [1e-6, 1] and r up to 20, nu, I4 and
+    log_neg are within 1e-15 relative and the discord within 1e-13; below
+    U ~ 1e-6 the O(U ln U) terms of the discord and mutual information keep
+    a 1e-16/U relative error.
 
     Returns a dict of arrays keyed like the CSV columns: I1, I3, I4,
     nu_minus, discord, mutual_info, classical and log_neg, with nu and I4
@@ -84,6 +94,11 @@ def measures_from_amplitude(u, r):
     f_nu = _entropy_1p(spread / (nu + 1.0))
     discord = np.maximum(f_A - 2.0 * f_nu + _entropy_1p(spread / (A + 1.0)), 0.0)
     mutual = 2.0 * (f_A - f_nu)
+    # 1 - nu~- = U (1 - e^-2r): log1p of it where that is below 1/2, else the
+    # log of nu~- = (1 - U) + U e^-2r, a sum of two non-negative terms
+    gap = 2.0 * U * sh * np.exp(-r)
+    nu_t = (1.0 - U) + U * np.exp(-2.0 * r)
+    log_neg = -np.where(gap < 0.5, np.log1p(-np.minimum(gap, 0.5)), np.log(nu_t))
     return {
         "I1": A * A,
         "I3": -4.0 * wabs * wabs,
@@ -92,5 +107,5 @@ def measures_from_amplitude(u, r):
         "discord": discord,
         "mutual_info": mutual,
         "classical": mutual - discord,
-        "log_neg": -np.log1p(-2.0 * U * sh * np.exp(-r)),
+        "log_neg": log_neg,
     }

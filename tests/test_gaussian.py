@@ -332,21 +332,49 @@ class TestVectorizedPath:
             assert meas["I4"][j] == pytest.approx(inv.I4, rel=1e-9)
 
 
-# (r, U, discord, mutual_info, log_neg) of the evolved state, evaluated from
-# the generic invariants in 60-digit arithmetic (mpmath), where nothing cancels
+# (r, U, discord, mutual_info, log_neg, nu, I4) of the evolved state,
+# evaluated from the generic invariants in 250-digit arithmetic (mpmath; they
+# cancel about 70 digits at r = 20) and rounded to 17 digits
 MPMATH_MEASURES = [
-    (0.5, 1e-2, 0.00020268786644623426, 0.00040646370698793684, 0.0063412690029986508),
-    (0.5, 1e-4, 3.6299461583580846e-8, 7.2600894281886629e-8, 6.3214053849057717e-5),
-    (0.5, 1e-6, 5.2202542324322528e-12, 1.0440511299880002e-11, 6.3212075861684229e-7),
-    (0.5, 1e-8, 6.8103057748968373e-16, 1.3620611586779126e-15, 6.321205608264397e-9),
-    (1.0, 1e-2, 0.0013604980166996317, 0.0027577944976634001, 0.0086842463158624541),
-    (1.0, 1e-4, 2.9215417776179708e-7, 5.843890360929509e-7, 8.6470210117202226e-5),
-    (1.0, 1e-6, 4.4370737101190701e-11, 8.8741596762759219e-11, 8.6466509058613896e-7),
-    (1.0, 1e-8, 5.9515146291631971e-15, 1.1903029422718871e-14, 8.6466472050161271e-9),
-    (2.0, 1e-2, 0.029399561859864558, 0.06576373837449861, 0.0098653465116633181),
-    (2.0, 1e-4, 1.2305971503629178e-5, 2.4644275526706739e-5, 9.8173254947425168e-5),
-    (2.0, 1e-6, 2.092411491623789e-9, 4.1848780301518106e-9, 9.8168484296367355e-7),
-    (2.0, 1e-8, 2.9499022982046774e-13, 5.8998053724764135e-13, 9.816843659297868e-9),
+    (0.5, 1e-2, 0.00020268786644623426, 0.00040646370698793684, 0.0063412690029986508,
+     1.0053621221079208, 1.0216216200739039),
+    (0.5, 1e-4, 3.6299461583580846e-8, 7.2600894281886629e-8, 6.3214053849057717e-5,
+     1.0000543011583673, 1.0002172223258044),
+    (0.5, 1e-6, 5.2202542324322528e-12, 1.0440511299880002e-11, 6.3212075861684229e-7,
+     1.0000005430799443, 1.0000021723215467),
+    (0.5, 1e-8, 6.8103057748968373e-16, 1.3620611586779126e-15, 6.321205608264397e-9,
+     1.0000000054308063, 1.0000000217232253),
+    (1.0, 1e-2, 0.0013604980166996317, 0.0027577944976634001, 0.0086842463158624541,
+     1.0269817304526191, 1.1123741067699629),
+    (1.0, 1e-4, 2.9215417776179708e-7, 5.843890360929509e-7, 8.6470210117202226e-5,
+     1.0002761538166862, 1.0011050729165725),
+    (1.0, 1e-6, 4.4370737101190701e-11, 8.8741596762759219e-11, 8.6466509058613896e-7,
+     1.000002762189114, 1.0000110488022344),
+    (1.0, 1e-8, 5.9515146291631971e-15, 1.1903029422718871e-14, 8.6466472050161271e-9,
+     1.0000000276219563, 1.0000001104878296),
+    (2.0, 1e-2, 0.029399561859864558, 0.06576373837449861, 0.0098653465116633181,
+     1.2332489651944276, 2.313145966292841),
+    (2.0, 1e-4, 1.2305971503629178e-5, 2.4644275526706739e-5, 9.8173254947425168e-5,
+     1.0026271093495062, 1.0105499201929832),
+    (2.0, 1e-6, 2.092411491623789e-9, 4.1848780301518106e-9, 9.8168484296367355e-7,
+     1.000026307860476, 1.0001052355945981),
+    (2.0, 1e-8, 2.9499022982046774e-13, 5.8998053724764135e-13, 9.816843659297868e-9,
+     1.0000002630822911, 1.0000010523295798),
+    (5.0, 1.0, 9.6137056395671606, 19.227411279134321, 10.0, 1.0, 1.0),
+    (5.0, 0.5, 0.64777948321917353, 8.6138569567288998, 0.69310178166072844,
+     74.209948524787844, 30328331.704571944),
+    (5.0, 1e-3, 0.32969019767444107, 1.8486200286275809, 0.0010004548882094285,
+     4.7960860474314303, 529.11230918116504),
+    (10.0, 1.0, 19.613705638880109, 39.227411277760219, 20.0, 1.0, 1.0),
+    (10.0, 0.5, 0.64791842669273462, 18.613705645750621, 0.69314717849879169,
+     11013.232920103323, 1.4711579298605048e16),
+    (10.0, 1e-3, 0.38659849785927176, 11.706957725224351, 0.0010005003315203167,
+     696.1903677991965, 234915699112.88783),
+    (20.0, 1.0, 39.613705638880109, 79.227411277760219, 40.0, 1.0, 1.0),
+    (20.0, 0.5, 0.64791843300216452, 38.613705638880109, 0.69314718055994531,
+     242582597.70489514, 3.4628889902459438e33),
+    (20.0, 1e-3, 0.38660146414783513, 31.70695086023157, 0.0010005003335835335,
+     15334597.535318101, 5.5295466802471546e28),
 ]
 
 
@@ -361,16 +389,19 @@ def _assert_top_branch(meas):
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("r, U, discord, mutual, log_neg", MPMATH_MEASURES,
+    @pytest.mark.parametrize("r, U, discord, mutual, log_neg, nu, I4", MPMATH_MEASURES,
                              ids=[f"r{row[0]}-U{row[1]:.0e}" for row in MPMATH_MEASURES])
-    def test_matches_extended_precision(self, r, U, discord, mutual, log_neg):
-        # the O(U ln U) terms that cancel leave a relative error of about
-        # 1e-16 / U, so 1e-8 is the one point held to a looser bound
-        rel = 1e-9 if U >= 1e-6 else 1e-7
+    def test_matches_extended_precision(self, r, U, discord, mutual, log_neg, nu, I4):
+        # the O(U ln U) terms of discord and mutual information that cancel
+        # leave a relative error of about 1e-16 / U
+        rel = max(1e-12, 1e-15 / U)
         meas = measures_from_amplitude(np.array([np.sqrt(U)]), r)
         assert meas["discord"][0] == pytest.approx(discord, rel=rel)
         assert meas["mutual_info"][0] == pytest.approx(mutual, rel=rel)
-        assert meas["log_neg"][0] == pytest.approx(log_neg, rel=rel)
+        assert meas["classical"][0] == meas["mutual_info"][0] - meas["discord"][0]
+        assert meas["log_neg"][0] == pytest.approx(log_neg, rel=1e-15)
+        assert meas["nu_minus"][0] == pytest.approx(nu, rel=1e-15)
+        assert meas["I4"][0] == pytest.approx(I4, rel=1e-15)
 
     def test_branch_is_always_top_on_the_family(self):
         U = np.logspace(-4, 0, 161)
@@ -388,6 +419,20 @@ class TestClosedForms:
             # up to 2.7e-7 at r = 0.05
             assert meas["nu_minus"][-1] == meas["I4"][-1] == 1.0
             assert err[-1] < 1e-6
+
+    def test_finite_up_to_the_largest_squeezing(self):
+        # r = 177.79 is the largest accepted: cosh(2r)^2, the pure state's I1,
+        # overflows a double from r = 177.7923 on
+        U = np.concatenate([[0.0], np.logspace(-300, 0, 61)])
+        for r in (177.7, 177.79):
+            meas = measures_from_amplitude(np.sqrt(U), r)
+            for key, values in meas.items():
+                assert np.isfinite(values).all(), key
+            assert meas["log_neg"][-1] == pytest.approx(2 * r, rel=1e-15)
+            # the pure state's discord f(cosh 2r) is ln(sinh^2 r) + 1 up to O(e^-2r)
+            assert meas["discord"][-1] == pytest.approx(2 * r + 1 - 2 * np.log(2), rel=1e-15)
+        with pytest.raises(ValueError, match="squeezing parameter r must be <= 177.79"):
+            measures_from_amplitude(np.array([1.0]), 177.8)
 
     @pytest.mark.parametrize("r", [1.0, 3.0])
     def test_overshoot_within_tolerance_counts_as_unity(self, r):

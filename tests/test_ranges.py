@@ -65,6 +65,7 @@ RULES = [
     ("tol", math.nan, OHMIC, _solve),
     ("r", -1.0, OHMIC, lambda v: measures_from_amplitude(np.array([1.0, 0.5]), v)),
     ("r", math.inf, OHMIC, lambda v: measures_from_amplitude(np.array([1.0, 0.5]), v)),
+    ("r", 177.8, OHMIC, lambda v: measures_from_amplitude(np.array([1.0, 0.5]), v)),
     ("topology", "torus", ARRAY, _chain),
 ]
 
