@@ -580,6 +580,37 @@ class TestCliEndToEnd:
         assert capsys.readouterr().err.splitlines() == lines
         assert not out.exists()
 
+    def test_squeezing_whose_pure_state_overflows_is_a_config_error(self, tmp_path, capsys):
+        # the pure state's I1 = cosh(2r)^2 overflows a double from r = 177.7923 on
+        ohmic = ["--eta", "1", "--n", "3", "--omega-c", "1", "--tmax", "5", "--steps", "100"]
+        out = tmp_path / "big.csv"
+        assert main(["solve", *ohmic, "--r", "177.8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: squeezing parameter r must be <= 177.79, "
+            "where cosh(2r)^2 overflows, got 177.8"]
+        assert not out.exists()
+        # below it every cell is finite; the pure state's log-negativity is 2r
+        for r, log_neg, discord in (("20", "40.0", 39.61370563888011),
+                                    ("177.7", "355.4", 355.0137056388801)):
+            assert main(["solve", *ohmic, "--r", r, "--out", str(out)]) == 0
+            header, first, *rows = out.read_text().splitlines()
+            cells = dict(zip(header.split(","), first.split(",")))
+            assert cells["log_neg"] == log_neg
+            assert float(cells["discord"]) == pytest.approx(discord, rel=1e-15)
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")[:-1])
+
+    def test_smallest_rings_solve(self, tmp_path, capsys):
+        # 1- and 2-site rings revive to |u| = 1; a solve within its tolerance
+        # of that is a solve, not an unphysical amplitude
+        for sites in ("1", "2"):
+            out = tmp_path / f"ring{sites}.csv"
+            argv = ["solve", "--model", "array", "--g", "0.3", "--xi", "0.05", "--sites", sites,
+                    "--tmax", "200", "--steps", "4000", "--tol", "1e-3", "--out", str(out)]
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+            abs2 = [float(row.split(",")[3]) for row in out.read_text().splitlines()[1:]]
+            assert len(abs2) == 4001 and max(abs2) <= 1.0 + 1e-15
+
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         config = tmp_path / "hard.cfg"
         config.write_text("eta=1.0\nn=3\nomega_c=1.0\nt_max=20\nsteps=64\ntol=1e-14\n")

@@ -449,7 +449,9 @@ class TestDecayRates:
         rates = decay_rates(traj)
         assert not rates.valid.all()
         assert rates.valid[0]
-        assert np.isnan(rates.gamma[~rates.valid]).all()
+        # both rates are nan, the one mark of "not available", exactly there
+        assert (np.isnan(rates.gamma) == ~rates.valid).all()
+        assert (np.isnan(rates.omega_shift) == ~rates.valid).all()
 
     def test_gamma_is_half_log_derivative_of_survival(self):
         # Gamma(t) = -d ln|u|^2 / dt / 2 within discretization error
