@@ -88,8 +88,9 @@ def measures_from_amplitude(u, r):
     eps_A = 2.0 * U * sh * sh
     A = 1.0 + eps_A
     wabs = U * sh * ch
-    spread = 2.0 * eps_A * (1.0 - U)  # nu^2 - 1
-    nu = np.sqrt(1.0 + spread)
+    spread = 2.0 * eps_A * (1.0 - U)
+    nu_sq = 1.0 + spread
+    nu = np.sqrt(nu_sq)
     f_A = _entropy_1p(eps_A)
     f_nu = _entropy_1p(spread / (nu + 1.0))
     discord = np.maximum(f_A - 2.0 * f_nu + _entropy_1p(spread / (A + 1.0)), 0.0)
@@ -102,7 +103,7 @@ def measures_from_amplitude(u, r):
     return {
         "I1": A * A,
         "I3": -4.0 * wabs * wabs,
-        "I4": (1.0 + spread) ** 2,
+        "I4": nu_sq * nu_sq,
         "nu_minus": nu,
         "discord": discord,
         "mutual_info": mutual,
