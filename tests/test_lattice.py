@@ -238,9 +238,9 @@ class TestOracleAgreement:
     def test_band_limited_start_within_its_estimate(self, sites, g, omega0, tol):
         # the ladder starts below the output grid and interpolates up to it;
         # the band [0.9, 1.1] holds every ring's support.  The 1- and 2-site
-        # rings revive to |u| = 1, which a solve at tol 1e-3 passed by its
-        # error (1.3e-5 at N = 1, g = 0.3, omega0 = 1) before the solver
-        # projected its value onto the unit disk
+        # rings revive to |u| = 1, where a solve at tol 1e-3 lands within its
+        # error of 1 on either side; the solver's unit-disk projection keeps
+        # the side above from reading as an unphysical amplitude
         bath = CavityArraySpectrum(g=g, xi=0.05, omega_C=1.0, sites=sites)
         mode, grid = SystemMode(omega0=omega0), TimeGrid(t_max=200.0, steps=4000)
         solved = solve_amplitude(bath, mode, grid, tol=tol)
