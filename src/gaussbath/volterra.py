@@ -372,7 +372,8 @@ def solve_amplitude(model, mode, grid, tol=1e-5):
     4-point miss of v at twice its step.  The solver refines until the
     estimate is below ``tol``, at most to M 2^8 steps, and returns
     u = exp(-i omega0 t) v, formed once on the output grid from v projected
-    onto the unit disk (v / max(|v|, 1)), with
+    onto the unit disk (v / max(|v|, 1)) when max|v| <= 1 + estimate; a
+    larger overshoot, which the estimate does not explain, is left as is, with
     ``dt_used`` the finest dt, coarser than grid.dt when the ladder stopped
     below the output grid, and ``error_estimate`` that estimate.  A level
     whose change from the one before is not finite stops the refinement.
@@ -416,10 +417,13 @@ def solve_amplitude(model, mode, grid, tol=1e-5):
         if err < tol:
             while value.shape[0] <= M:
                 value = _refined(value)
-            # the exact |v| = |u| is at most 1: projecting onto the unit disk,
-            # which is convex, moves no value farther from it and leaves every
-            # bit of a value with |v| <= 1
-            value = value / np.maximum(np.abs(value), 1.0)
+            # the exact |v| = |u| is at most 1: an overshoot the estimate
+            # explains is projected onto the unit disk, which is convex, so no
+            # value moves farther from it and one with |v| <= 1 keeps every
+            # bit; a larger one is returned as is, for the physicality check
+            mod = np.abs(value)
+            if mod.max() <= 1.0 + err:
+                value = value / np.maximum(mod, 1.0)
             return AmplitudeTrajectory(
                 grid=grid,
                 u=value * np.exp(-1j * mode.omega0 * grid.times()),

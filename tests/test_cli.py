@@ -580,16 +580,11 @@ class TestCliEndToEnd:
         assert capsys.readouterr().err.splitlines() == lines
         assert not out.exists()
 
-    def test_squeezing_whose_pure_state_overflows_is_a_config_error(self, tmp_path, capsys):
-        # the pure state's I1 = cosh(2r)^2 overflows a double from r = 177.7923 on
+    def test_largest_squeezing_writes_finite_cells(self, tmp_path):
+        # up to r = 177.79, where the pure state's I1 = cosh(2r)^2 would
+        # overflow, every cell is finite; the pure state's log-negativity is 2r
         ohmic = ["--eta", "1", "--n", "3", "--omega-c", "1", "--tmax", "5", "--steps", "100"]
         out = tmp_path / "big.csv"
-        assert main(["solve", *ohmic, "--r", "177.8", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: squeezing parameter r must be <= 177.79, "
-            "where cosh(2r)^2 overflows, got 177.8"]
-        assert not out.exists()
-        # below it every cell is finite; the pure state's log-negativity is 2r
         for r, log_neg, discord in (("20", "40.0", 39.61370563888011),
                                     ("177.7", "355.4", 355.0137056388801)):
             assert main(["solve", *ohmic, "--r", r, "--out", str(out)]) == 0
@@ -610,6 +605,21 @@ class TestCliEndToEnd:
             assert capsys.readouterr().err == ""
             abs2 = [float(row.split(",")[3]) for row in out.read_text().splitlines()[1:]]
             assert len(abs2) == 4001 and max(abs2) <= 1.0 + 1e-15
+
+    def test_overshoot_beyond_the_estimate_is_unphysical(self, tmp_path, capsys, monkeypatch):
+        # an amplitude 1 % too large on every level converges with the same
+        # estimate, 6.9e-4 here, so its overshoot of 1 % is not projected
+        from gaussbath import volterra
+
+        integrate = volterra._integrate
+        monkeypatch.setattr(volterra, "_integrate", lambda *args: 1.01 * integrate(*args))
+        out = tmp_path / "ring1.csv"
+        argv = ["solve", "--model", "array", "--g", "0.3", "--xi", "0.05", "--sites", "1",
+                "--tmax", "200", "--steps", "4000", "--tol", "1e-3", "--out", str(out)]
+        assert main(argv) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("unphysical amplitude: |u| = 1.01")
+        assert not out.exists()
 
     def test_nonconvergence_exit_code(self, tmp_path, capsys):
         config = tmp_path / "hard.cfg"

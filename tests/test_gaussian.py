@@ -414,11 +414,14 @@ class TestClosedForms:
             eps_m = 4.0 * U * s * s * (1.0 - U) / (2.0 + 2.0 * U * s * s)
             err = np.abs(top_branch_m(I1, I1, I3, I4) / (1.0 + eps_m) ** 2 - 1.0)
             assert err[:-1].max() < 1e-9
-            # the pure state is exact: nu = I4 = 1.  There the oracle's inner
-            # root I3^2 - (I1 - 1)^2 cancels to sqrt(roundoff of I1 and I3),
-            # up to 2.7e-7 at r = 0.05
+            # the pure state: nu = I4 = 1 exactly, and I1 = cosh(2r)^2 and
+            # -I3 = sinh(2r)^2 to rounding.  The oracle's inner root
+            # I3^2 - (I1 - 1)^2 cancels there to the square root of that
+            # rounding, so its m is not compared at U = 1
             assert meas["nu_minus"][-1] == meas["I4"][-1] == 1.0
-            assert err[-1] < 1e-6
+            two_r = 2 * np.longdouble(r)
+            assert I1[-1] == pytest.approx(float(np.cosh(two_r) ** 2), rel=1e-15)
+            assert -I3[-1] == pytest.approx(float(np.sinh(two_r) ** 2), rel=1e-15)
 
     def test_finite_up_to_the_largest_squeezing(self):
         # r = 177.79 is the largest accepted: cosh(2r)^2, the pure state's I1,
@@ -431,8 +434,6 @@ class TestClosedForms:
             assert meas["log_neg"][-1] == pytest.approx(2 * r, rel=1e-15)
             # the pure state's discord f(cosh 2r) is ln(sinh^2 r) + 1 up to O(e^-2r)
             assert meas["discord"][-1] == pytest.approx(2 * r + 1 - 2 * np.log(2), rel=1e-15)
-        with pytest.raises(ValueError, match="squeezing parameter r must be <= 177.79"):
-            measures_from_amplitude(np.array([1.0]), 177.8)
 
     @pytest.mark.parametrize("r", [1.0, 3.0])
     def test_overshoot_within_tolerance_counts_as_unity(self, r):

@@ -239,8 +239,8 @@ class TestOracleAgreement:
         # the ladder starts below the output grid and interpolates up to it;
         # the band [0.9, 1.1] holds every ring's support.  The 1- and 2-site
         # rings revive to |u| = 1, where a solve at tol 1e-3 lands within its
-        # error of 1 on either side; the solver's unit-disk projection keeps
-        # the side above from reading as an unphysical amplitude
+        # estimate of 1 on either side; the solver projects an overshoot that
+        # small onto the unit disk, so it does not read as unphysical
         bath = CavityArraySpectrum(g=g, xi=0.05, omega_C=1.0, sites=sites)
         mode, grid = SystemMode(omega0=omega0), TimeGrid(t_max=200.0, steps=4000)
         solved = solve_amplitude(bath, mode, grid, tol=tol)
