@@ -23,7 +23,6 @@ figures are (command, config) pairs handed to the same runner.
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -263,33 +262,47 @@ def _solve(cfg):
     return solve_amplitude(build_model(cfg), SystemMode(omega0=cfg.omega0), grid, tol=cfg.tol)
 
 
-def _float_texts(values):
-    """repr(float(x)) of each entry of a float array, NA for a nan, as a
-    list of strings.
+def _table(columns, lead=(), tail=()):
+    """CSV rows of equal-length float columns as bytes, one block per _CHUNK
+    rows: each row is the text cells of ``lead``, its float cells and the
+    text cells of ``tail``, joined by commas and ended by a newline.  Each
+    float cell is repr(float(x)), or NA for a nan.
 
+    A block's cells are stacked row-major and written by one orjson dump.
     orjson writes the shortest round-trip digits of every finite double, and
     lays them out as repr does wherever repr writes no exponent: 0 and
-    1e-4 <= |x| < 1e16, the same rule repr itself uses.  Outside that range
-    (where orjson writes 1e16 for repr's 1e+16, 0.00001 for 1e-05 and null
-    for nan or inf) the cells are overwritten by repr, or by NA for nan."""
+    1e-4 <= |x| < 1e16, the same rule repr itself uses.  The other cells are
+    dumped as nan, which orjson writes null, and each null is then replaced
+    by the repr of its cell, or by NA for a nan.  Every width-th comma of the
+    dump ends a row."""
     # imported on first use, so importing gaussbath.cli does not pay for it
     import orjson
 
-    values = np.ascontiguousarray(values, dtype=float)
-    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-    size = np.abs(values)
-    plain = (size >= 1e-4) & (size < 1e16) | (values == 0)
-    for i in np.flatnonzero(~plain).tolist():
-        x = float(values[i])
-        texts[i] = repr(x) if x == x else NA  # nan alone is unequal to itself
-    return texts
-
-
-def _text_chunks(arrays):
-    """Text of equal-length float arrays, _CHUNK rows at a time: yields one
-    list of strings per array (see _float_texts) for each chunk of rows."""
-    for lo in range(0, len(arrays[0]), _CHUNK):
-        yield [_float_texts(a[lo : lo + _CHUNK]) for a in arrays]
+    width = len(columns)
+    lead = "".join(f"{cell}," for cell in lead).encode()
+    stop = "".join(f",{cell}" for cell in tail).encode() + b"\n"
+    blocks = []
+    for lo in range(0, len(columns[0]), _CHUNK):
+        cells = np.stack([column[lo : lo + _CHUNK] for column in columns], axis=1).ravel()
+        size = np.abs(cells)
+        odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (size == 0)))
+        # repr never writes 'nan' inside another float's text, nor a comma
+        texts = ",".join(map(repr, cells[odd].tolist())).replace("nan", NA).encode()
+        cells[odd] = np.nan
+        # the closing bracket becomes the comma that ends the last row
+        text = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
+        if odd.size:
+            parts = [b""] * (2 * odd.size + 1)
+            parts[::2] = text.split(b"null")
+            parts[1::2] = texts.split(b",")
+            text = b"".join(parts)
+        data = np.frombuffer(text, np.uint8).copy()
+        data[np.flatnonzero(data == ord(","))[width - 1 :: width]] = ord("\n")
+        text = data.tobytes()
+        if lead or tail:
+            text = lead + text[:-1].replace(b"\n", stop + lead) + stop
+        blocks.append(text)
+    return blocks
 
 
 def _trajectory_rows(cfg, traj):
@@ -297,21 +310,16 @@ def _trajectory_rows(cfg, traj):
     meas = measures_from_amplitude(traj.u, cfg.r)
     u = traj.u
     # on this state family I2 = I1, nu_plus = nu_minus and the discord branch
-    # is always the top one, so I1 and nu are formatted once and written twice
-    arrays = (
+    # is always the top one
+    return _table((
         traj.times, u.real, u.imag, np.abs(u) ** 2, rates.gamma, rates.omega_shift,
-        meas["I1"], meas["I3"], meas["I4"], meas["nu_minus"],
+        meas["I1"], meas["I1"], meas["I3"], meas["I4"], meas["nu_minus"], meas["nu_minus"],
         meas["discord"], meas["mutual_info"], meas["classical"], meas["log_neg"],
-    )
-    rows = []
-    for t, re, im, abs2, gamma, shift, i1, i3, i4, nu, *measures in _text_chunks(arrays):
-        cells = zip(t, re, im, abs2, gamma, shift, i1, i1, i3, i4, nu, nu, *measures, repeat("top"))
-        rows.extend(map(",".join, cells))
-    return rows
+    ), tail=["top"])
 
 
 def run_scenario(cfg):
-    """Solve one scenario; returns (header, row lines) for the solve CSV."""
+    """Solve one scenario; returns (header, blocks of rows) for the solve CSV."""
     return SOLVE_HEADER, _trajectory_rows(cfg, _solve(cfg))
 
 
@@ -331,14 +339,12 @@ def _sweep_points(cfg):
 
 
 def run_sweep(cfg, *lead):
-    """Discord, |u|^2 and log-negativity of one solve as (header, rows), rows led by ``lead``."""
+    """Discord, |u|^2 and log-negativity of one solve as (header, blocks of
+    rows), each row led by the cells ``lead``."""
     traj = _solve(cfg)
     meas = measures_from_amplitude(traj.u, cfg.r)
-    arrays = (traj.times, meas["discord"], np.abs(traj.u) ** 2, meas["log_neg"])
-    rows = []
-    for columns in _text_chunks(arrays):
-        rows.extend(map(",".join, zip(*map(repeat, lead), *columns)))
-    return SWEEP_HEADER, rows
+    columns = (traj.times, meas["discord"], np.abs(traj.u) ** 2, meas["log_neg"])
+    return SWEEP_HEADER, _table(columns, lead)
 
 
 def _mode_summary_lines(model, mode):
@@ -380,20 +386,22 @@ def _mode_sample_energies(model):
 
 
 def run_modes(cfg, *lead):
-    """y(E) samples outside the support, led by ``lead``, and a bound-mode summary block."""
+    """y(E) samples outside the support, each row led by the cells ``lead``,
+    then a last block of '#' bound-mode summary lines."""
     model = build_model(cfg)
     mode = SystemMode(omega0=cfg.omega0)
-    rows = []
+    blocks = []
     for grid in _mode_sample_energies(model):
-        for energies, values in _text_chunks([grid, spectral_function_y(model, mode, grid)]):
-            rows.extend(map(",".join, zip(*map(repeat, lead), energies, values)))
-    rows.extend(_mode_summary_lines(model, mode))
-    return "E,y", rows
+        blocks += _table((grid, spectral_function_y(model, mode, grid)), lead)
+    blocks.append("".join(f"{line}\n" for line in _mode_summary_lines(model, mode)).encode())
+    return "E,y", blocks
 
 
-def write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
+def write_csv(path, header, blocks):
+    """Write the header line and the row blocks of a ``run_*`` table."""
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        fh.writelines(blocks)
 
 
 def run_command(command, cfg, out):
@@ -431,19 +439,21 @@ def run_command(command, cfg, out):
         return written, []
     # only sweep records a point that does not converge or is unphysical, and goes on
     recorded = (ConvergenceError, ValueError) if command == "sweep" else ()
-    rows, failures = [], []
+    # nothing is written until every point has run
+    blocks, failures = [], []
     for value, point in _sweep_points(cfg):
         tag = _fmt(value)
         try:
-            # the tag is a cell of each row's own join, not a second copy of the row
-            _, point_rows = run(point, tag)
+            _, point_blocks = run(point, tag)
         except recorded as exc:
             failures.append((value, str(exc)))
             continue
-        if command == "modes":  # its '#' summary lines name the point too
-            point_rows = [f"# {cfg.sweep}={tag} {r[2:]}" if r[0] == "#" else r for r in point_rows]
-        rows += point_rows
-    write_csv(out, "sweep_value," + SWEEP_HEADER if command == "sweep" else f"{cfg.sweep},E,y", rows)
+        if command == "modes":
+            # its '#' summary lines, the last block, name the point too; their
+            # '#' is followed by the only spaces in the block
+            point_blocks[-1] = point_blocks[-1].replace(b"# ", f"# {cfg.sweep}={tag} ".encode())
+        blocks += point_blocks
+    write_csv(out, "sweep_value," + SWEEP_HEADER if command == "sweep" else f"{cfg.sweep},E,y", blocks)
     return [out], failures
 
 

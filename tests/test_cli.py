@@ -33,9 +33,12 @@ from gaussbath.scenario import (
     CONFIG_KEYS,
     FIGURE_SPECS,
     ScenarioConfig,
+    _mode_sample_energies,
+    _mode_summary_lines,
     _solve,
-    _text_chunks,
+    _table,
     _trajectory_rows,
+    build_model,
     run_command,
     run_modes,
     run_scenario,
@@ -177,10 +180,16 @@ class TestParseConfig:
         assert exc.value.errors == ["sweep point eta=inf: eta must be finite, got inf"]
 
 
+def _rows(blocks):
+    """The row lines of the byte blocks of a ``run_*`` table."""
+    return b"".join(blocks).decode().splitlines()
+
+
 @pytest.fixture(scope="module")
 def small_run():
     cfg = parse_config("eta=0.2\nn=3\nomega_c=1.0\nr=1.0\nt_max=10\nsteps=400\ntol=1e-4\n")
-    return cfg, run_scenario(cfg)
+    header, blocks = run_scenario(cfg)
+    return cfg, (header, _rows(blocks))
 
 
 class TestSolveCsv:
@@ -206,8 +215,10 @@ class TestSolveCsv:
             assert abs(u2 - float(fields["u_abs2"])) < 1e-12
 
     def test_byte_identical_reruns(self, small_run):
-        cfg, first = small_run
+        cfg, (header, rows) = small_run
+        first = run_scenario(cfg)
         assert run_scenario(cfg) == first
+        assert (first[0], _rows(first[1])) == (header, rows)
 
     def test_initial_row_values(self, small_run):
         _, (header, rows) = small_run
@@ -219,7 +230,8 @@ class TestSolveCsv:
 
     def test_zero_coupling_discord_constant(self):
         cfg = parse_config("eta=0\nn=3\nomega_c=1.0\nr=0.8\nt_max=5\nsteps=200\ntol=1e-6\n")
-        header, rows = run_scenario(cfg)
+        header, blocks = run_scenario(cfg)
+        rows = _rows(blocks)
         idx = header.split(",").index("discord")
         values = np.array([float(row.split(",")[idx]) for row in rows])
         assert np.ptp(values) < 1e-12
@@ -227,7 +239,8 @@ class TestSolveCsv:
 
     def test_invalid_gamma_rows_carry_na_token(self):
         cfg = parse_config("eta=0.08\nn=3\nomega_c=1.0\nr=1\nt_max=230\nsteps=4600\ntol=1e-3\n")
-        header, rows = run_scenario(cfg)
+        header, blocks = run_scenario(cfg)
+        rows = _rows(blocks)
         cols = header.split(",")
         gi = cols.index("gamma")
         oi = cols.index("omega_shift")
@@ -239,12 +252,20 @@ class TestSolveCsv:
         float(numeric[0])
 
 
+def _expected_rows(columns, lead=(), tail=()):
+    """Rows built cell by cell: the ``lead`` cells, repr(float(x)) of each
+    column's cell (NA for a nan) and the ``tail`` cells, joined by commas."""
+    return [",".join([*lead, *(repr(float(x)) if x == x else "NA" for x in row), *tail])
+            for row in zip(*columns)]
+
+
 class TestCsvText:
     def test_chunk_text_is_float_repr(self):
         values = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1.0000000000000002,
                   0.1, 1 / 3, 2 / 3, 123456789.01234567, -9.876543210987654e-300,
                   math.pi, math.inf, -math.inf, math.nan]
-        (texts,), = _text_chunks([np.array(values)])
+        [block] = _table([np.array(values)])
+        texts = _rows([block])
         # nan, the one mark of a value that is not available, is written NA
         assert texts == [repr(float(x)) for x in values[:-1]] + ["NA"]
         assert texts[0] == "-0.0" and texts[2] == "5e-324" and texts[5] == "1e+16"
@@ -253,12 +274,11 @@ class TestCsvText:
         for length in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
             a = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)
             b = rng.uniform(-1.0, 1.0, length)
-            chunks = list(_text_chunks([a, b]))
+            blocks = _table([a, b])
             sizes = [min(_CHUNK, length - lo) for lo in range(0, length, _CHUNK)]
-            assert [[len(column) for column in texts] for texts in chunks] == [[n, n] for n in sizes]
-            for column, array in enumerate((a, b)):
-                cells = [text for texts in chunks for text in texts[column]]
-                assert cells == [repr(float(x)) for x in array]
+            assert [block.count(b"\n") for block in blocks] == sizes
+            assert all(block.endswith(b"\n") for block in blocks)
+            assert _rows(blocks) == _expected_rows([a, b])
         # where repr switches between plain decimals and exponent notation
         switch = [1e-4, np.nextafter(1e-4, 0), 0.00010000000000000002, 5e-5, 1e15,
                   np.nextafter(1e16, 0), 9999999999999998.0, 1e16, 2.0**53]
@@ -271,14 +291,29 @@ class TestCsvText:
         plain = plain[(np.abs(plain) >= 1e-4) & (np.abs(plain) < 1e16)][:200_000]
         assert len(bits) == len(plain) == 200_000
         for array in (np.array(switch + [-x for x in switch]), u.real, bits, plain):
-            cells = [text for (texts,) in _text_chunks([array]) for text in texts]
-            assert cells == [repr(float(x)) for x in array]
+            assert _rows(_table([array])) == [repr(float(x)) for x in array]
+
+    def test_odd_cells_anywhere_in_a_row_or_block(self):
+        # cells whose repr is no plain decimal, and -0.0, in the first and the
+        # last column, on both sides of a block edge, in every cell of the
+        # first block and in none of the last
+        odd = [-0.0, 5e-324, 1e-05, 1e16, math.inf, -math.inf, math.nan]
+        rng = np.random.default_rng(5)
+        columns = rng.uniform(1e-3, 1e3, (3, 3 * _CHUNK)) * rng.choice([-1.0, 1.0], (3, 3 * _CHUNK))
+        columns[:, :_CHUNK] = np.resize(odd, (3, _CHUNK))
+        mixed = np.arange(_CHUNK, 2 * _CHUNK)
+        columns[0, mixed[::3]] = np.resize(odd, mixed[::3].size)
+        columns[-1, mixed[::5]] = np.resize(odd[::-1], mixed[::5].size)
+        for lead, tail in [((), ()), (("0.85",), ("top",)), (("1e-05", "x"), ())]:
+            blocks = _table(columns, lead, tail)
+            assert [block.count(b"\n") for block in blocks] == [_CHUNK] * 3
+            assert _rows(blocks) == _expected_rows(columns, lead, tail)
 
     def test_rows_match_per_cell_repr(self):
         # 4601 rows: several full chunks and a partial one, with NA rates late on
         cfg = parse_config("eta=0.08\nn=3\nomega_c=1.0\nr=1\nt_max=230\nsteps=4600\ntol=1e-3\n")
         traj = _solve(cfg)
-        rows = _trajectory_rows(cfg, traj)
+        rows = _rows(_trajectory_rows(cfg, traj))
         rates = decay_rates(traj)
         meas = measures_from_amplitude(traj.u, cfg.r)
         assert not rates.valid.all() and rates.valid.any()
@@ -294,6 +329,43 @@ class TestCsvText:
             assert [j for j, cell in enumerate(cells) if cell == "NA"] == (
                 [] if rates.valid[i] else [4, 5])
             assert row == ",".join([*cells, "top"])
+
+    def test_sweep_rows_match_per_cell_repr(self, tmp_path):
+        # 1201 rows per point, each led by the point's value
+        cfg = parse_config("eta=0.08\nn=3\nomega_c=1.0\nr=1\nt_max=50\nsteps=1200\ntol=1e-3\n"
+                           "sweep=eta\nsweep_values=0.08,1.0\n")
+        header, rows, failures = _run_sweep(tmp_path, cfg)
+        assert not failures
+        assert header == "sweep_value,t,discord,u_abs2,log_neg"
+        expected = []
+        for tag, eta in [("0.08", 0.08), ("1.0", 1.0)]:
+            point = dataclasses.replace(cfg, sweep=None, sweep_values=None, eta=eta)
+            traj = _solve(point)
+            meas = measures_from_amplitude(traj.u, point.r)
+            columns = [traj.times, meas["discord"], np.abs(traj.u) ** 2, meas["log_neg"]]
+            expected += _expected_rows(columns, lead=[tag])
+        assert len(rows) == 2 * 1201
+        assert rows == expected
+
+    def test_modes_rows_match_per_cell_repr(self, tmp_path):
+        # the layout of reproduce fig4a: each point's y(E) rows led by its
+        # omega0, then its '#' summary lines, each naming the point
+        _, cfg = FIGURE_SPECS["fig4a"]
+        out = tmp_path / "modes.csv"
+        assert run_command("modes", cfg, str(out)) == ([str(out)], [])
+        header, *rows = out.read_text().splitlines()
+        assert header == "omega0,E,y"
+        expected = []
+        for value in cfg.sweep_values:
+            tag = repr(float(value))
+            model = build_model(dataclasses.replace(cfg, sweep=None, sweep_values=None))
+            mode = SystemMode(omega0=value)
+            for grid in _mode_sample_energies(model):
+                expected += _expected_rows([grid, spectral_function_y(model, mode, grid)], [tag])
+            summary = _mode_summary_lines(model, mode)
+            assert summary[0] == "# exists=true" and summary[-1].startswith("# lattice_modes=")
+            expected += [f"# omega0={tag} {line[2:]}" for line in summary]
+        assert rows == expected
 
 
 def _run_sweep(tmp_path, cfg):
@@ -312,7 +384,8 @@ class TestSweep:
         header, rows, failures = _run_sweep(tmp_path, cfg)
         assert not failures
         assert header == "sweep_value,t,discord,u_abs2,log_neg"
-        solve_header, solve_rows = run_scenario(parse_config(base))
+        solve_header, solve_blocks = run_scenario(parse_config(base))
+        solve_rows = _rows(solve_blocks)
         cols = solve_header.split(",")
         di, ui, li = cols.index("discord"), cols.index("u_abs2"), cols.index("log_neg")
         assert len(rows) == len(solve_rows)
@@ -385,22 +458,34 @@ class TestSweep:
         assert message.startswith("|u| = 1.000001") and "exceeds 1" in message
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
-        # only numerical and input failures become failed sweep points
+        # only numerical and input failures become failed sweep points, and
+        # nothing is written until every point has run
         from gaussbath import scenario
 
-        def broken(*args, **kwargs):
-            raise TypeError("broken solver")
+        solve = scenario.solve_amplitude
+        calls = []
 
-        monkeypatch.setattr(scenario, "solve_amplitude", broken)
-        cfg = parse_config(OHMIC_TEXT + "sweep=eta\nsweep_values=0.1\n")
+        def broken_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise TypeError("broken solver")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "solve_amplitude", broken_second)
+        cfg = parse_config("eta=0.1\nn=3\nomega_c=1.0\nt_max=5\nsteps=100\n"
+                           "sweep=eta\nsweep_values=0.1,0.2\n")
+        out = tmp_path / "sweep.csv"
         with pytest.raises(TypeError, match="broken solver"):
-            run_command("sweep", cfg, str(tmp_path / "sweep.csv"))
+            run_command("sweep", cfg, str(out))
+        assert len(calls) == 2
+        assert not out.exists()
 
 
 class TestModes:
     def test_ohmic_summary_without_mode(self):
         cfg = parse_config("eta=0.08\nn=3\nomega_c=1.0\n")
-        header, rows = run_modes(cfg)
+        header, blocks = run_modes(cfg)
+        rows = _rows(blocks)
         assert header == "E,y"
         summary = [row for row in rows if row.startswith("#")]
         assert "# exists=false" in summary
@@ -409,7 +494,7 @@ class TestModes:
 
     def test_ohmic_summary_with_mode(self):
         cfg = parse_config("eta=1.0\nn=3\nomega_c=1.0\n")
-        _, rows = run_modes(cfg)
+        rows = _rows(run_modes(cfg)[1])
         summary = {row.split("=")[0]: row.split("=")[1] for row in rows if row.startswith("#")}
         assert summary["# exists"] == "true"
         assert float(summary["# E_b"]) == pytest.approx(-0.58757, abs=1e-4)
@@ -418,14 +503,14 @@ class TestModes:
     def test_ohmic_n8_completes_with_exact_value_at_zero(self):
         # the adaptive quadrature this replaced never returned at n = 8
         cfg = parse_config("eta=1.0\nn=8\nomega_c=1.0\nomega_ref=1.0\n")
-        _, rows = run_modes(cfg)
+        rows = _rows(run_modes(cfg)[1])
         y0 = [float(row.split(",")[1]) for row in rows if row.startswith("0.0,")]
         assert y0 == [pytest.approx(1.0 - math.gamma(8), rel=1e-15)]
         assert "# exists=true" in rows
 
     def test_samples_stay_outside_support(self):
         cfg = parse_config("model=array\ng=0.02\nxi=0.05\nomega_C=1.0\nN=200\nomega0=0.8\n")
-        _, rows = run_modes(cfg)
+        rows = _rows(run_modes(cfg)[1])
         data = [row for row in rows if not row.startswith("#")]
         Es = np.array([float(row.split(",")[0]) for row in data])
         assert ((Es < 0.9) | (Es > 1.1)).all()
