@@ -3,14 +3,19 @@
 Configs are flat ``key=value`` text ('#' starts a comment, later keys
 override earlier ones, CLI flags override file values).  All outputs are
 plain CSV with a fixed column order and shortest round-trip float
-formatting, so identical configs reproduce byte-identical files.  Float
-columns are formatted in chunks of rows by ``orjson``'s shortest round-trip
-writer, one call per column and chunk.  Where ``repr`` writes plain
-decimals (0 and 1e-4 <= |x| < 1e16) both write the same shortest digits
-the same way; the other cells, whose ``repr`` has an exponent or is not
-finite, are written by ``repr(float(x))`` itself.  Every cell is therefore
-exactly ``repr(float(x))``, except nan, the one mark of a value that is not
-available, which is written ``NA``.
+formatting, so identical configs reproduce byte-identical files.  A table
+is made as bytes, one block per ``_CHUNK`` rows: the block's float cells,
+stacked row-major, are written by one call of ``orjson``'s shortest
+round-trip writer, and every width-th comma of its output ends a row.
+Where ``repr`` writes plain decimals (0 and 1e-4 <= |x| < 1e16) both write
+the same shortest digits the same way; the other cells, whose ``repr`` has
+an exponent or is not finite, are dumped as null and replaced by
+``repr(float(x))`` itself.  Every cell is therefore exactly
+``repr(float(x))``, except nan, the one mark of a value that is not
+available, which is written ``NA``.  Text cells that are the same on every
+row (a sweep point's value, the solve table's ``top``) are part of the row
+separator.  The ``run_*`` functions return a header and the blocks, and
+``write_csv`` writes them as they are.
 
 A run over several values of one key is a sweep: ``sweep=<key>`` and
 ``sweep_values=<v1,v2,...>``.  ``run_command`` runs any CLI command on any
@@ -39,8 +44,8 @@ SOLVE_HEADER = (
 )
 SWEEP_HEADER = "t,discord,u_abs2,log_neg"
 NA = "NA"
-# rows formatted at a time: bounds the Python floats and strings alive besides
-# the joined rows, so formatting memory does not grow with the table
+# rows per block of a table: bounds the arrays and texts alive besides the
+# finished blocks, so formatting memory does not grow with the table
 _CHUNK = 512
 
 OHMIC_KEYS = {"eta", "n", "omega_c", "omega_ref"}
