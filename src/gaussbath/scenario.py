@@ -3,19 +3,13 @@
 Configs are flat ``key=value`` text ('#' starts a comment, later keys
 override earlier ones, CLI flags override file values).  All outputs are
 plain CSV with a fixed column order and shortest round-trip float
-formatting, so identical configs reproduce byte-identical files.  A table
-is made as bytes, one block per ``_CHUNK`` rows: the block's float cells,
-stacked row-major, are written by one call of ``orjson``'s shortest
-round-trip writer, and every width-th comma of its output ends a row.
-Where ``repr`` writes plain decimals (0 and 1e-4 <= |x| < 1e16) both write
-the same shortest digits the same way; the other cells, whose ``repr`` has
-an exponent or is not finite, are dumped as null and replaced by
-``repr(float(x))`` itself.  Every cell is therefore exactly
-``repr(float(x))``, except nan, the one mark of a value that is not
-available, which is written ``NA``.  Text cells that are the same on every
-row (a sweep point's value, the solve table's ``top``) are part of the row
-separator.  The ``run_*`` functions return a header and the blocks, and
-``write_csv`` writes them as they are.
+formatting, so identical configs reproduce byte-identical files: every
+float cell is exactly ``repr(float(x))``, except nan, the one mark of a
+value that is not available, which is written ``NA``.  ``_csvtable`` makes
+each table as bytes, one block per ``CHUNK`` rows, from orjson dumps of the
+cells; it is imported where a table is first made, like orjson itself.  The
+``run_*`` functions return a header and the blocks, and ``write_csv``
+writes them as they are.
 
 A run over several values of one key is a sweep: ``sweep=<key>`` and
 ``sweep_values=<v1,v2,...>``.  ``run_command`` runs any CLI command on any
@@ -43,10 +37,6 @@ SOLVE_HEADER = (
     "discord,mutual_info,classical,log_neg,branch"
 )
 SWEEP_HEADER = "t,discord,u_abs2,log_neg"
-NA = "NA"
-# rows per block of a table: bounds the arrays and texts alive besides the
-# finished blocks, so formatting memory does not grow with the table
-_CHUNK = 512
 
 OHMIC_KEYS = {"eta", "n", "omega_c", "omega_ref"}
 ARRAY_KEYS = {"g", "xi", "omega_C", "N"}
@@ -218,8 +208,12 @@ def _build_config(values, errors, given):
     if sweep is None and "sweep_values" in given:
         errors.append("sweep_values requires sweep")
     if sweep in SWEEPABLE:
-        # every sweep point is a config of its own: check it like one
+        # every sweep point is a config of its own: check it like one; a point
+        # at the config's own value has the base problems, already reported
+        own = values.get(sweep, getattr(ScenarioConfig, sweep))
         for value in values.get("sweep_values") or ():
+            if value == own:
+                continue
             point_errors = _value_errors({**values, sweep: value}, model, complete)
             errors.extend(f"sweep point {sweep}={value!r}: {problem}"
                           for problem in point_errors if problem not in base_errors)
@@ -267,56 +261,15 @@ def _solve(cfg):
     return solve_amplitude(build_model(cfg), SystemMode(omega0=cfg.omega0), grid, tol=cfg.tol)
 
 
-def _table(columns, lead=(), tail=()):
-    """CSV rows of equal-length float columns as bytes, one block per _CHUNK
-    rows: each row is the text cells of ``lead``, its float cells and the
-    text cells of ``tail``, joined by commas and ended by a newline.  Each
-    float cell is repr(float(x)), or NA for a nan.
-
-    A block's cells are stacked row-major and written by one orjson dump.
-    orjson writes the shortest round-trip digits of every finite double, and
-    lays them out as repr does wherever repr writes no exponent: 0 and
-    1e-4 <= |x| < 1e16, the same rule repr itself uses.  The other cells are
-    dumped as nan, which orjson writes null, and each null is then replaced
-    by the repr of its cell, or by NA for a nan.  Every width-th comma of the
-    dump ends a row."""
-    # imported on first use, so importing gaussbath.cli does not pay for it
-    import orjson
-
-    width = len(columns)
-    lead = "".join(f"{cell}," for cell in lead).encode()
-    stop = "".join(f",{cell}" for cell in tail).encode() + b"\n"
-    blocks = []
-    for lo in range(0, len(columns[0]), _CHUNK):
-        cells = np.stack([column[lo : lo + _CHUNK] for column in columns], axis=1).ravel()
-        size = np.abs(cells)
-        odd = np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (size == 0)))
-        # repr never writes 'nan' inside another float's text, nor a comma
-        texts = ",".join(map(repr, cells[odd].tolist())).replace("nan", NA).encode()
-        cells[odd] = np.nan
-        # the closing bracket becomes the comma that ends the last row
-        text = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
-        if odd.size:
-            parts = [b""] * (2 * odd.size + 1)
-            parts[::2] = text.split(b"null")
-            parts[1::2] = texts.split(b",")
-            text = b"".join(parts)
-        data = np.frombuffer(text, np.uint8).copy()
-        data[np.flatnonzero(data == ord(","))[width - 1 :: width]] = ord("\n")
-        text = data.tobytes()
-        if lead or tail:
-            text = lead + text[:-1].replace(b"\n", stop + lead) + stop
-        blocks.append(text)
-    return blocks
-
-
 def _trajectory_rows(cfg, traj):
+    from ._csvtable import table
+
     rates = decay_rates(traj)
     meas = measures_from_amplitude(traj.u, cfg.r)
     u = traj.u
     # on this state family I2 = I1, nu_plus = nu_minus and the discord branch
     # is always the top one
-    return _table((
+    return table((
         traj.times, u.real, u.imag, np.abs(u) ** 2, rates.gamma, rates.omega_shift,
         meas["I1"], meas["I1"], meas["I3"], meas["I4"], meas["nu_minus"], meas["nu_minus"],
         meas["discord"], meas["mutual_info"], meas["classical"], meas["log_neg"],
@@ -346,10 +299,12 @@ def _sweep_points(cfg):
 def run_sweep(cfg, *lead):
     """Discord, |u|^2 and log-negativity of one solve as (header, blocks of
     rows), each row led by the cells ``lead``."""
+    from ._csvtable import table
+
     traj = _solve(cfg)
     meas = measures_from_amplitude(traj.u, cfg.r)
     columns = (traj.times, meas["discord"], np.abs(traj.u) ** 2, meas["log_neg"])
-    return SWEEP_HEADER, _table(columns, lead)
+    return SWEEP_HEADER, table(columns, lead)
 
 
 def _mode_summary_lines(model, mode):
@@ -393,11 +348,13 @@ def _mode_sample_energies(model):
 def run_modes(cfg, *lead):
     """y(E) samples outside the support, each row led by the cells ``lead``,
     then a last block of '#' bound-mode summary lines."""
+    from ._csvtable import table
+
     model = build_model(cfg)
     mode = SystemMode(omega0=cfg.omega0)
     blocks = []
     for grid in _mode_sample_energies(model):
-        blocks += _table((grid, spectral_function_y(model, mode, grid)), lead)
+        blocks += table((grid, spectral_function_y(model, mode, grid)), lead)
     blocks.append("".join(f"{line}\n" for line in _mode_summary_lines(model, mode)).encode())
     return "E,y", blocks
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,22 +22,24 @@ from gaussbath import (
     ConvergenceError,
     OhmicFamilySpectrum,
     SystemMode,
+    TimeGrid,
+    build_chain,
     decay_rates,
+    exact_amplitude,
     measures_from_amplitude,
     parse_config,
     serialize_config,
     spectral_function_y,
 )
+from gaussbath._csvtable import _STAND_IN, CHUNK, table
 from gaussbath.cli import _build_parser, main
 from gaussbath.scenario import (
-    _CHUNK,
     CONFIG_KEYS,
     FIGURE_SPECS,
     ScenarioConfig,
     _mode_sample_energies,
     _mode_summary_lines,
     _solve,
-    _table,
     _trajectory_rows,
     build_model,
     run_command,
@@ -172,6 +175,23 @@ class TestParseConfig:
             parse_config(OHMIC_TEXT + "tol=-1\nsweep=eta\nsweep_values=0.1,0.2,0.3\n")
         assert exc.value.errors == ["tol must be > 0, got -1.0"]
 
+    def test_sweep_point_at_the_config_value_is_checked_once(self, monkeypatch):
+        from gaussbath import scenario
+
+        calls = []
+        kernel = scenario.memory_kernel
+        monkeypatch.setattr(scenario, "memory_kernel", lambda *args: calls.append(args) or kernel(*args))
+        # a point at the config's own value, given or (omega0 here) the default
+        for text, points in [
+            (ARRAY_TEXT + "sweep=omega0\nsweep_values=0.8\n", 1),
+            (OHMIC_TEXT + "sweep=omega0\nsweep_values=1.0\n", 1),
+            (OHMIC_TEXT + "sweep=eta\nsweep_values=0.08,0.1\n", 2),
+            (ARRAY_TEXT + "sweep=omega0\nsweep_values=0.8,0.85,0.9\n", 3),
+        ]:
+            calls.clear()
+            parse_config(text)
+            assert len(calls) == points
+
     def test_nonfinite_sweep_value_is_reported_once(self):
         # the per-point range check covers every sweepable key, so a
         # non-finite value is one message, not also one about sweep_values
@@ -264,18 +284,18 @@ class TestCsvText:
         values = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1.0000000000000002,
                   0.1, 1 / 3, 2 / 3, 123456789.01234567, -9.876543210987654e-300,
                   math.pi, math.inf, -math.inf, math.nan]
-        [block] = _table([np.array(values)])
+        [block] = table([np.array(values)])
         texts = _rows([block])
         # nan, the one mark of a value that is not available, is written NA
         assert texts == [repr(float(x)) for x in values[:-1]] + ["NA"]
         assert texts[0] == "-0.0" and texts[2] == "5e-324" and texts[5] == "1e+16"
         assert texts[-3:] == ["inf", "-inf", "NA"]
         rng = np.random.default_rng(11)
-        for length in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
+        for length in (CHUNK - 1, CHUNK, CHUNK + 1):
             a = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, length)
             b = rng.uniform(-1.0, 1.0, length)
-            blocks = _table([a, b])
-            sizes = [min(_CHUNK, length - lo) for lo in range(0, length, _CHUNK)]
+            blocks = table([a, b])
+            sizes = [min(CHUNK, length - lo) for lo in range(0, length, CHUNK)]
             assert [block.count(b"\n") for block in blocks] == sizes
             assert all(block.endswith(b"\n") for block in blocks)
             assert _rows(blocks) == _expected_rows([a, b])
@@ -284,30 +304,81 @@ class TestCsvText:
                   np.nextafter(1e16, 0), 9999999999999998.0, 1e16, 2.0**53]
         # a non-contiguous view, random bit patterns (every exponent) and
         # log-uniform values inside the plain-decimal range
-        u = rng.standard_normal(_CHUNK + 7) + 1j * rng.standard_normal(_CHUNK + 7)
+        u = rng.standard_normal(CHUNK + 7) + 1j * rng.standard_normal(CHUNK + 7)
         bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64, endpoint=False).view(float)
         bits = bits[np.isfinite(bits)][:200_000]
         plain = 10.0 ** rng.uniform(-4.0, 16.0, 250_000) * rng.choice([-1.0, 1.0], 250_000)
         plain = plain[(np.abs(plain) >= 1e-4) & (np.abs(plain) < 1e16)][:200_000]
         assert len(bits) == len(plain) == 200_000
         for array in (np.array(switch + [-x for x in switch]), u.real, bits, plain):
-            assert _rows(_table([array])) == [repr(float(x)) for x in array]
+            assert _rows(table([array])) == [repr(float(x)) for x in array]
 
     def test_odd_cells_anywhere_in_a_row_or_block(self):
         # cells whose repr is no plain decimal, and -0.0, in the first and the
         # last column, on both sides of a block edge, in every cell of the
-        # first block and in none of the last
-        odd = [-0.0, 5e-324, 1e-05, 1e16, math.inf, -math.inf, math.nan]
+        # first block and in none of the last: among them every kind of edit
+        # orjson's text takes to become repr's (e-7 -> e-07, e300 -> e+300,
+        # 0.000025 -> 2.5e-05, 0.00001 -> 1e-05)
+        odd = [-0.0, 5e-324, 1e-05, 1e16, math.inf, -math.inf, math.nan,
+               1.5e-07, -2.5e-05, -1.2345678901234567e+300, 9.87654321e-09]
         rng = np.random.default_rng(5)
-        columns = rng.uniform(1e-3, 1e3, (3, 3 * _CHUNK)) * rng.choice([-1.0, 1.0], (3, 3 * _CHUNK))
-        columns[:, :_CHUNK] = np.resize(odd, (3, _CHUNK))
-        mixed = np.arange(_CHUNK, 2 * _CHUNK)
+        columns = rng.uniform(1e-3, 1e3, (3, 3 * CHUNK)) * rng.choice([-1.0, 1.0], (3, 3 * CHUNK))
+        columns[:, :CHUNK] = np.resize(odd, (3, CHUNK))
+        mixed = np.arange(CHUNK, 2 * CHUNK)
         columns[0, mixed[::3]] = np.resize(odd, mixed[::3].size)
         columns[-1, mixed[::5]] = np.resize(odd[::-1], mixed[::5].size)
         for lead, tail in [((), ()), (("0.85",), ("top",)), (("1e-05", "x"), ())]:
-            blocks = _table(columns, lead, tail)
-            assert [block.count(b"\n") for block in blocks] == [_CHUNK] * 3
+            blocks = table(columns, lead, tail)
+            assert [block.count(b"\n") for block in blocks] == [CHUNK] * 3
             assert _rows(blocks) == _expected_rows(columns, lead, tail)
+
+    def test_stand_ins_have_the_length_of_their_index(self):
+        import orjson
+
+        # an odd cell's text is 3 (inf) to 24 bytes long; the first three are padding
+        assert [len(orjson.dumps(x)) for x in _STAND_IN[3:].tolist()] == list(range(3, 25))
+        assert np.isnan(_STAND_IN[:3]).all()
+
+    def test_spelled_cells_match_repr(self):
+        rng = np.random.default_rng(23)
+        # 1e-5 <= |x| < 1e-4, log-uniform, with 1- to 17-digit mantissas
+        decade = [float(f"{x:.{digits - 1}e}") for digits in range(1, 18)
+                  for x in 10.0 ** rng.uniform(-5.0, -4.0, 200)]
+        decade = np.array([x for x in decade if x < 1e-4])
+        # both neighbours of every power of ten, and the power itself
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        near = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, math.inf)])
+        subnormal = np.concatenate([[5e-324, 1e-323, 2.2250738585072009e-308],
+                                    rng.integers(1, 2**52, 500).astype(np.uint64).view(float)])
+        special = np.array([math.inf, -math.inf, math.nan, 1.7976931348623157e308])
+        for array in (decade, near, subnormal, special):
+            array = np.concatenate([array, -array])
+            assert _rows(table([array])) == _expected_rows([array])
+
+    def test_formatting_memory_stays_bounded(self, monkeypatch):
+        from gaussbath import _csvtable
+
+        # the 10 001 x 16 oracle table of fig4b at omega0 = 0.8, whose gamma
+        # column has exponent cells in every block
+        cfg = parse_config(ARRAY_TEXT + "t_max=500\nsteps=10000\ntol=1e-3\n")
+        H = build_chain(build_model(cfg), SystemMode(omega0=cfg.omega0))
+        calls = []
+        monkeypatch.setattr(_csvtable, "table", lambda *args, **kw: calls.append((args, kw)))
+        _trajectory_rows(cfg, exact_amplitude(H, TimeGrid(t_max=cfg.t_max, steps=cfg.steps)))
+        monkeypatch.undo()
+        [(args, kw)] = calls
+        assert len(args[0]) == 16 and len(args[0][0]) == 10001
+        table(*args, **kw)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            blocks = table(*args, **kw)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the blocks are the output; the rest is bounded by CHUNK, not by
+        # the table (stacking the whole table takes about 3.5 MB)
+        assert peak - sum(map(len, blocks)) < 1.5e6
 
     def test_rows_match_per_cell_repr(self):
         # 4601 rows: several full chunks and a partial one, with NA rates late on
@@ -322,7 +393,7 @@ class TestCsvText:
                    rates.gamma, rates.omega_shift,
                    *(meas[name] for name in ("I1", "I1", "I3", "I4", "nu_minus", "nu_minus",
                                              "discord", "mutual_info", "classical", "log_neg"))]
-        assert len(rows) == len(traj.times) > 2 * _CHUNK
+        assert len(rows) == len(traj.times) > 2 * CHUNK
         for i, row in enumerate(rows):
             cells = [repr(float(col[i])) if col[i] == col[i] else "NA" for col in columns]
             # both rates, and only they, are NA exactly where they are not valid
